@@ -2,9 +2,8 @@
 transmission graphs, in near-linear time, with brute-force oracles."""
 
 from .chan import ChanInconsistencyError, OptProblem, optimize
-from .disk_triangle import (InvariantViolation, ShiftedGrids, decide_perimeter,
-                            find_triangle_disk, planar_triangle,
-                            shortest_triangle_disk)
+from .disk_triangle import (ShiftedGrids, decide_perimeter, find_triangle_disk,
+                            planar_triangle, shortest_triangle_disk)
 from .generator import GeneratorSpec, generate
 from .girth import (ShortestPathTree, dijkstra_tree, girth_unweighted,
                     planar_girth_unweighted, planar_weighted_girth,
@@ -18,9 +17,10 @@ from .radius_tree import RadiusTree, canonical_nodes, descend_quadtrees
 from .range_search import (ALPHA, CrowdedSquare, QueryTripleR2, R1Outcome,
                            build_query_hulls, build_union_polytopes, solve_R1,
                            solve_R2, upper_envelope_faces)
-from .sites import (InstanceError, LiftedHalfspace, LiftedPoint, Site, SiteSet,
-                    ToleranceConfig, circle_circle_points, disk_edge, dist,
-                    lift_point, lift_site, lifted_violates, read_instance,
+from .sites import (InstanceError, InvariantViolation, LiftedHalfspace,
+                    LiftedPoint, Site, SiteSet, ToleranceConfig,
+                    circle_circle_points, disk_edge, dist, lift_point,
+                    lift_site, lifted_violates, read_instance,
                     triangle_perimeter, tx_edge, write_instance)
 from .sweep import (SweepOutcome, arc_intersections_bounded,
                     build_plane_or_witness, containment_edges,

@@ -2,9 +2,9 @@
 
 Existence goes through the plane/witness pipeline: a non-plane disk graph
 always contains a triangle, and a plane one is searched in linear time by
-degeneracy peeling.  The shortest triangle reduces to the perimeter decision
-problem on four shifted grids, driven by the randomized optimization
-framework with the mod-4 subset split.
+degeneracy peeling.  The perimeter decision works on four shifted grids;
+``shortest_triangle_disk`` hands it, the existence search and the brute-force
+base case to the shared optimization driver in ``chan``.
 """
 
 from __future__ import annotations
@@ -15,19 +15,14 @@ from typing import Optional
 
 import numpy as np
 
-from .chan import mod4_split_indices, optimize
+from .chan import shortest_triangle
 from .grids import GridIndex, ShiftedGrids, close_pairs
-from .graphs import (Triangle, UndirectedGraph, better_triangle,
-                     brute_shortest_triangle, brute_triangle,
-                     build_disk_graph_brute)
-from .sites import SiteSet, disk_edge, triangle_perimeter
+from .graphs import (Triangle, UndirectedGraph, brute_shortest_triangle,
+                     brute_triangle, build_disk_graph_brute)
+from .sites import InvariantViolation, SiteSet, disk_edge, triangle_perimeter
 from .sweep import build_plane_or_witness
 
 SQRT2 = math.sqrt(2.0)
-
-
-class InvariantViolation(AssertionError):
-    """A structural constant guaranteed by the geometry failed at runtime."""
 
 
 # ---------------------------------------------------------------------------
@@ -197,73 +192,9 @@ def decide_perimeter(S: SiteSet, W: float) -> bool:
 # shortest triangle via the optimization framework
 
 
-class _BestTriangle:
-    __slots__ = ("tri",)
-
-    def __init__(self):
-        self.tri: Optional[Triangle] = None
-
-    def offer(self, tri: Optional[Triangle]) -> None:
-        self.tri = better_triangle(self.tri, tri)
-
-
-class _ShortestTriangleProblem:
-    """Optimization problem over a subset of sites (original ids kept)."""
-
-    def __init__(self, S: SiteSet, ids: list[int], best: _BestTriangle):
-        self.S = S
-        self.ids = ids
-        self.best = best
-        self._sub: Optional[SiteSet] = None
-
-    def size(self) -> int:
-        return len(self.ids)
-
-    def _subset(self) -> SiteSet:
-        if self._sub is None:
-            self._sub = self.S.subset(self.ids)
-        return self._sub
-
-    def decide(self, t: float) -> bool:
-        # the framework needs the strict "w < t"; the grid decision answers
-        # "<= W", and on float values "< t" is "<= nextafter(t, -inf)"
-        sub = self._subset()
-        if math.isinf(t):
-            return find_triangle_disk(sub) is not None
-        return decide_perimeter(sub, math.nextafter(t, -math.inf))
-
-    def split(self):
-        return [_ShortestTriangleProblem(self.S, [self.ids[i] for i in part], self.best)
-                for part in mod4_split_indices(len(self.ids))]
-
-    def base_solve(self) -> Optional[float]:
-        sub = self._subset()
-        tri = brute_shortest_triangle(build_disk_graph_brute(sub), sub)
-        if tri is None:
-            return None
-        orig = tuple(sorted(self.ids[i] for i in tri.ids))
-        mapped = Triangle(orig, triangle_perimeter(*(self.S[i] for i in orig)))
-        self.best.offer(mapped)
-        return mapped.perimeter
-
-
-def shortest_triangle_disk(S: SiteSet, rng_seed: int = 0, n0: int = 16) -> Optional[Triangle]:
-    """Globally minimum-perimeter triangle of the disk graph, or None.
-
-    A first triangle from the existence search seeds the upper bound, then
-    the randomized framework (alpha=3/4, r=4, mod-4 split) closes the gap.
-    """
-    n = len(S)
-    if n < 3:
-        return None
-    if n <= n0:
-        return brute_shortest_triangle(build_disk_graph_brute(S), S)
-    first = find_triangle_disk(S)
-    if first is None:
-        return None
-    best = _BestTriangle()
-    best.offer(first)
-    problem = _ShortestTriangleProblem(S, list(range(n)), best)
-    optimize(problem, alpha=0.75, r=4, n0=n0, rng_seed=rng_seed,
-             initial=first.perimeter)
-    return best.tri
+def shortest_triangle_disk(S: SiteSet, rng_seed: int = 0) -> Optional[Triangle]:
+    """Globally minimum-perimeter triangle of the disk graph, or None."""
+    return shortest_triangle(
+        S, find_triangle_disk, decide_perimeter,
+        lambda sub: brute_shortest_triangle(build_disk_graph_brute(sub), sub),
+        rng_seed)

@@ -20,7 +20,7 @@ from .disk_triangle import shortest_triangle_disk
 from .graphs import (Cycle, Triangle, UndirectedGraph,
                      brute_girth_unweighted)
 from .grids import GridIndex
-from .sites import SiteSet, dist
+from .sites import InvariantViolation, SiteSet, disk_edge, dist
 from .sweep import build_plane_or_witness
 
 SQRT2 = math.sqrt(2.0)
@@ -174,7 +174,8 @@ def _induced_graph(S: SiteSet, ids: list[int]) -> tuple[UndirectedGraph, SiteSet
     sub = S.subset(ids)
     out = build_plane_or_witness(sub)
     if not out.plane:
-        raise AssertionError("small-site subgraph must be plane when no short triangle exists")
+        raise InvariantViolation(
+            "small-site subgraph must be plane when no short triangle exists")
     return out.graph, sub
 
 
@@ -187,7 +188,7 @@ def weighted_girth_disk(S: SiteSet, rng_seed: int = 0) -> Optional[Cycle]:
     if tri is None:
         outcome = build_plane_or_witness(S)
         if not outcome.plane:
-            raise AssertionError("triangle-free disk graph must be plane")
+            raise InvariantViolation("triangle-free disk graph must be plane")
         return planar_weighted_girth(outcome.graph)
 
     W = tri.perimeter
@@ -238,16 +239,15 @@ def _disk_graph_mixed(sub: SiteSet, ell: float) -> UndirectedGraph:
         small_sub = sub.subset(small)
         out = build_plane_or_witness(small_sub)
         if not out.plane:
-            raise AssertionError("small-site block graph must be plane")
+            raise InvariantViolation("small-site block graph must be plane")
         for u, v, w in out.graph.edges():
             g.add_edge(small[u], small[v], w)
-    from .sites import disk_edge as _de
     for i, u in enumerate(large):
         su = sub[u]
         for v in large[i + 1:]:
-            if _de(su, sub[v]):
+            if disk_edge(su, sub[v]):
                 g.add_edge(u, v, dist(su, sub[v]))
         for v in small:
-            if _de(su, sub[v]):
+            if disk_edge(su, sub[v]):
                 g.add_edge(u, v, dist(su, sub[v]))
     return g

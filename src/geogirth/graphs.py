@@ -80,12 +80,6 @@ class UndirectedGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return any(x == v for x, _ in self.adj[u])
 
-    def dump(self, path) -> None:
-        # debugging format: one edge per line "u v w"
-        with open(path, "w", encoding="utf-8") as f:
-            for u, v, w in self.edges():
-                f.write(f"{u} {v} {w:.17g}\n")
-
 
 class DirectedGraph:
     __slots__ = ("n", "out")

@@ -7,6 +7,7 @@ and neighbor blocks are fetched by batched binary search.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -111,9 +112,9 @@ class GridIndex:
 
     def neighbor_keys(self, sites: np.ndarray, radius_cells: int) -> np.ndarray:
         """(m, (2k+1)^2) packed keys of the cell blocks around given sites."""
-        offs = np.arange(-radius_cells, radius_cells + 1)
-        dxx, dyy = np.meshgrid(offs, offs, indexing="ij")
-        dk = (dxx.astype(self.ix.dtype) * _KEY_BASE + dyy.astype(self.ix.dtype)).ravel()
+        dk = _block_offsets(radius_cells)
+        if self.ix.dtype == object:
+            dk = dk.astype(object)
         base = self.ix[sites] * _KEY_BASE + self.iy[sites]
         return base[:, None] + dk[None, :]
 
@@ -127,6 +128,15 @@ class GridIndex:
     def block_sites(self, site: int, radius_cells: int) -> np.ndarray:
         nk = self.neighbor_keys(np.array([site]), radius_cells)
         return self.sites_of_runs(self.lookup_many(nk.ravel()))
+
+
+@functools.lru_cache(maxsize=None)
+def _block_offsets(radius_cells: int) -> np.ndarray:
+    """Packed key offsets of the (2k+1)^2 block, dx-major (read-only)."""
+    offs = np.arange(-radius_cells, radius_cells + 1, dtype=np.int64)
+    dk = (offs[:, None] * _KEY_BASE + offs[None, :]).ravel()
+    dk.flags.writeable = False
+    return dk
 
 
 def ranges_concat(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -23,8 +23,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .radius_tree import RadiusTree
-from .sites import SiteSet
-from .zorder import (CompressedQuadtree, InvariantViolation, ZKeys,
+from .sites import InvariantViolation, SiteSet
+from .zorder import (CompressedQuadtree, ZKeys,
                      build_compressed_quadtree_from_codes, choose_depth,
                      neighborhood)
 

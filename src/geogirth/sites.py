@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -68,6 +67,10 @@ DEFAULT_TOLERANCE = ToleranceConfig()
 
 class InstanceError(ValueError):
     """Raised for malformed or degenerate instance input."""
+
+
+class InvariantViolation(AssertionError):
+    """A structural constant guaranteed by the geometry failed at runtime."""
 
 
 @dataclass(frozen=True)
@@ -185,12 +188,6 @@ def dist(a: Site, b: Site) -> float:
     return math.hypot(a.x - b.x, a.y - b.y)
 
 
-def sq_dist(a: Site, b: Site) -> float:
-    dx = a.x - b.x
-    dy = a.y - b.y
-    return dx * dx + dy * dy
-
-
 def disk_edge(a: Site, b: Site) -> bool:
     """True iff |ab| <= r_a + r_b, as a sign test without square roots."""
     dx = a.x - b.x
@@ -223,20 +220,30 @@ def triangle_perimeter(s: Site, t: Site, u: Site) -> float:
     return dist(a, b) + dist(a, c) + dist(b, c)
 
 
-# exact rational versions, used by the test suite as sign oracles
+# exact rational versions, used by the test suite as sign oracles.  Every
+# float is an integer over a power of two, so scaling all inputs by the
+# largest such denominator gives integers with the same signs as the
+# rational expressions, without Fraction's per-operation gcd.
+
+def _common_integers(*vals: float) -> list[int]:
+    ratios = [v.as_integer_ratio() for v in vals]
+    den = max(q for _, q in ratios)
+    return [p * (den // q) for p, q in ratios]
+
 
 def exact_disk_edge(a: Site, b: Site) -> bool:
-    dx = Fraction(a.x) - Fraction(b.x)
-    dy = Fraction(a.y) - Fraction(b.y)
-    rr = Fraction(a.r) + Fraction(b.r)
+    ax, bx, ay, by, ar, br = _common_integers(a.x, b.x, a.y, b.y, a.r, b.r)
+    dx = ax - bx
+    dy = ay - by
+    rr = ar + br
     return dx * dx + dy * dy <= rr * rr
 
 
 def exact_tx_edge(a: Site, b: Site) -> bool:
-    dx = Fraction(a.x) - Fraction(b.x)
-    dy = Fraction(a.y) - Fraction(b.y)
-    ra = Fraction(a.r)
-    return dx * dx + dy * dy <= ra * ra
+    ax, bx, ay, by, ar = _common_integers(a.x, b.x, a.y, b.y, a.r)
+    dx = ax - bx
+    dy = ay - by
+    return dx * dx + dy * dy <= ar * ar
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +278,9 @@ def circle_circle_points(a: Site, b: Site) -> list[tuple[float, float]]:
     h = math.sqrt(h2)
     p1 = (mx - h * uy, my + h * ux)
     p2 = (mx + h * uy, my - h * ux)
-    pts = sorted((p1, p2), key=lambda p: (p[1], p[0]))
-    return pts
+    if (p2[1], p2[0]) < (p1[1], p1[0]):
+        return [p2, p1]
+    return [p1, p2]
 
 
 # ---------------------------------------------------------------------------
@@ -336,9 +344,4 @@ def read_instance(path) -> SiteSet:
         if not r > 0:
             raise InstanceError(f"{path}:{i + 2}: radius must be positive (got {r!r})")
         sites.append(Site(i, x, y, r))
-    return SiteSet(sites)
-
-
-def siteset_from_arrays(xs, ys, rs) -> SiteSet:
-    sites = [Site(i, float(x), float(y), float(r)) for i, (x, y, r) in enumerate(zip(xs, ys, rs))]
     return SiteSet(sites)

@@ -62,14 +62,16 @@ class _ArcSweep:
         self.cx = S.xs.tolist()
         self.cy = S.ys.tolist()
         self.cr = S.rs.tolist()
+        self.cr2 = [r * r for r in self.cr]
         self.inter_limit = inter_limit
         self.edge_limit = edge_limit
         self.track_faces = track_faces
         self.status: list[int] = []
         self.faces: dict[int, frozenset] = {}
         self.alive = [False] * len(S)
-        self._ppcache: dict[tuple[int, int], list] = {}
-        self._scheduled: set[tuple[int, int, int]] = set()
+        # per circle pair, the boundary crossings not yet scheduled as
+        # (x, y, index in circle_circle_points order)
+        self._pending: dict[tuple[int, int], list] = {}
         self.state = ArcSweepState([], False, [], set(), False)
         self._events: list = []
         self._seq = 0
@@ -79,7 +81,7 @@ class _ArcSweep:
     def _y(self, arc: int, x: float) -> float:
         o = arc >> 1
         dx = x - self.cx[o]
-        h2 = self.cr[o] * self.cr[o] - dx * dx
+        h2 = self.cr2[o] - dx * dx
         h = math.sqrt(h2) if h2 > 0.0 else 0.0
         return self.cy[o] + h if arc & 1 else self.cy[o] - h
 
@@ -102,10 +104,10 @@ class _ArcSweep:
 
     # -- status search
 
-    def _bisect(self, x: float, y: float, right: bool) -> int:
-        """First index whose arc-y at x is >= y (or > y when right=True)."""
+    def _bisect(self, x: float, y: float) -> int:
+        """First index whose arc-y at x is >= y."""
         st = self.status
-        cx, cy, cr = self.cx, self.cy, self.cr
+        cx, cy, cr2 = self.cx, self.cy, self.cr2
         sqrt = math.sqrt
         lo, hi = 0, len(st)
         while lo < hi:
@@ -113,17 +115,19 @@ class _ArcSweep:
             arc = st[mid]
             o = arc >> 1
             dx = x - cx[o]
-            h2 = cr[o] * cr[o] - dx * dx
-            h = sqrt(h2) if h2 > 0.0 else 0.0
-            ym = cy[o] + h if arc & 1 else cy[o] - h
-            if ym < y or (right and ym == y):
+            h2 = cr2[o] - dx * dx
+            if h2 > 0.0:
+                ym = cy[o] + sqrt(h2) if arc & 1 else cy[o] - sqrt(h2)
+            else:
+                ym = cy[o]
+            if ym < y:
                 lo = mid + 1
             else:
                 hi = mid
         return lo
 
     def _find_arc(self, arc: int, x: float, y_hint: float) -> int:
-        pos = self._bisect(x, y_hint, False)
+        pos = self._bisect(x, y_hint)
         st = self.status
         n = len(st)
         if pos < n and st[pos] == arc:
@@ -146,20 +150,29 @@ class _ArcSweep:
         if oa == ob:
             return
         key = (oa, ob) if oa < ob else (ob, oa)
-        cache = self._ppcache
-        pts = cache.get(key)
-        if pts is None:
-            pts = circle_circle_points(self.S[key[0]], self.S[key[1]])
-            cache[key] = pts
-        if not pts:
+        pending = self._pending.get(key)
+        if pending is None:
+            # circle_circle_points' own disjoint-or-nested test, done on the
+            # coordinate lists: most adjacent pairs never cross
+            i, j = key
+            cx, cr = self.cx, self.cr
+            dx, dy = cx[j] - cx[i], self.cy[j] - self.cy[i]
+            d2 = dx * dx + dy * dy
+            sum_r, dif_r = cr[i] + cr[j], cr[i] - cr[j]
+            if d2 > sum_r * sum_r or d2 < dif_r * dif_r:
+                pending = []
+            else:
+                pending = [(px, py, pidx) for pidx, (px, py) in enumerate(
+                    circle_circle_points(self.S[i], self.S[j]))]
+            self._pending[key] = pending
+        if not pending:
             return
         cy = self.cy
-        scheduled = self._scheduled
-        for pidx, (px, py) in enumerate(pts):
+        # the sweep never moves left, so points behind it are dropped for good
+        for p in list(pending):
+            px, py, pidx = p
             if px < cur_x:
-                continue
-            sk = (key[0], key[1], pidx)
-            if sk in scheduled:
+                pending.remove(p)
                 continue
             if arc_a & 1:
                 if py < cy[oa]:
@@ -171,7 +184,7 @@ class _ArcSweep:
                     continue
             elif py > cy[ob]:
                 continue
-            scheduled.add(sk)
+            pending.remove(p)
             self._seq += 1
             heapq.heappush(self._events,
                            (px, CROSS, py, self._seq, arc_a, arc_b, pidx))
@@ -201,7 +214,7 @@ class _ArcSweep:
 
     def _insert_circle(self, t: int, x: float) -> bool:
         y = self.cy[t]
-        lo = self._bisect(x, y, False)
+        lo = self._bisect(x, y)
         st = self.status
         # the equal-y run is almost always empty; scan instead of a second
         # binary search

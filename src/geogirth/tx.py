@@ -6,7 +6,8 @@ nearby fat disks; otherwise edges st with r_t >= r_s are chased one hop
 through the reported lists, and the leftover configurations (r_u below
 r_t/2) become batched union-of-disks membership queries.  The weighted
 decision localizes everything to grid cells scaled by the perimeter bound;
-the optimum then comes from the randomized framework.
+``shortest_triangle_tx`` hands it, the detection and the brute-force base
+case to the shared optimization driver in ``chan``.
 """
 
 from __future__ import annotations
@@ -17,14 +18,13 @@ from typing import Optional
 
 import numpy as np
 
-from .chan import mod4_split_indices, optimize
-from .graphs import (Triangle, better_triangle, brute_directed_triangle,
+from .chan import shortest_triangle
+from .graphs import (Triangle, brute_directed_triangle,
                      brute_shortest_directed_triangle, build_tx_graph_brute,
                      triangle_is_valid_tx)
 from .grids import GridIndex
 from .range_search import ALPHA, QueryTripleR2, solve_R1, solve_R2
-from .sites import SiteSet, triangle_perimeter, tx_edge
-from .zorder import InvariantViolation
+from .sites import InvariantViolation, SiteSet, triangle_perimeter, tx_edge
 
 SQRT27 = math.sqrt(27.0)
 
@@ -220,66 +220,9 @@ def decide_tx_perimeter(S: SiteSet, W: float) -> bool:
 # shortest directed triangle
 
 
-class _BestTriangle:
-    __slots__ = ("tri",)
-
-    def __init__(self):
-        self.tri: Optional[Triangle] = None
-
-    def offer(self, tri: Optional[Triangle]) -> None:
-        self.tri = better_triangle(self.tri, tri)
-
-
-class _ShortestTxProblem:
-    def __init__(self, S: SiteSet, ids: list[int], best: _BestTriangle):
-        self.S = S
-        self.ids = ids
-        self.best = best
-        self._sub: Optional[SiteSet] = None
-
-    def size(self) -> int:
-        return len(self.ids)
-
-    def _subset(self) -> SiteSet:
-        if self._sub is None:
-            self._sub = self.S.subset(self.ids)
-        return self._sub
-
-    def decide(self, t: float) -> bool:
-        # strict "w < t" via the next-smaller float, as in the disk case
-        sub = self._subset()
-        if math.isinf(t):
-            return find_directed_triangle(sub) is not None
-        return decide_tx_perimeter(sub, math.nextafter(t, -math.inf))
-
-    def split(self):
-        return [_ShortestTxProblem(self.S, [self.ids[i] for i in part], self.best)
-                for part in mod4_split_indices(len(self.ids))]
-
-    def base_solve(self) -> Optional[float]:
-        sub = self._subset()
-        tri = brute_shortest_directed_triangle(build_tx_graph_brute(sub), sub)
-        if tri is None:
-            return None
-        orig = tuple(sorted(self.ids[i] for i in tri.ids))
-        mapped = Triangle(orig, triangle_perimeter(*(self.S[i] for i in orig)))
-        self.best.offer(mapped)
-        return mapped.perimeter
-
-
-def shortest_triangle_tx(S: SiteSet, rng_seed: int = 0, n0: int = 16) -> Optional[Triangle]:
+def shortest_triangle_tx(S: SiteSet, rng_seed: int = 0) -> Optional[Triangle]:
     """Minimum-perimeter directed triangle of the transmission graph."""
-    n = len(S)
-    if n < 3:
-        return None
-    if n <= n0:
-        return brute_shortest_directed_triangle(build_tx_graph_brute(S), S)
-    first = find_directed_triangle(S)
-    if first is None:
-        return None
-    best = _BestTriangle()
-    best.offer(first)
-    problem = _ShortestTxProblem(S, list(range(n)), best)
-    optimize(problem, alpha=0.75, r=4, n0=n0, rng_seed=rng_seed,
-             initial=first.perimeter)
-    return best.tri
+    return shortest_triangle(
+        S, find_directed_triangle, decide_tx_perimeter,
+        lambda sub: brute_shortest_directed_triangle(build_tx_graph_brute(sub), sub),
+        rng_seed)

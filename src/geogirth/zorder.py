@@ -21,13 +21,11 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .sites import InvariantViolation
+
 INT64_MAX_DEPTH = 29
 _LEVEL_BITS = 5            # int64 path: levels 0..29 fit in 5 bits
 _LEVEL_MAX = (1 << _LEVEL_BITS) - 1
-
-
-class InvariantViolation(AssertionError):
-    pass
 
 
 class GridCell(NamedTuple):

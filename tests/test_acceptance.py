@@ -169,8 +169,7 @@ def test_criterion_5_range_search_contracts():
 def test_criterion_6_structural_constants():
     # the constants are enforced as runtime checks that raise; exercising
     # the machinery broadly must produce zero violations
-    from geogirth.disk_triangle import InvariantViolation as IV1
-    from geogirth.zorder import InvariantViolation as IV2
+    from geogirth.sites import InvariantViolation
     rng = random.Random(106)
     try:
         for trial in range(120):
@@ -193,7 +192,7 @@ def test_criterion_6_structural_constants():
                 assert out.graph.edge_count() <= max(3 * n - 6, 0)
             else:
                 assert triangle_is_valid_disk(ss, out.witness)
-    except (IV1, IV2) as e:  # pragma: no cover
+    except InvariantViolation as e:  # pragma: no cover
         _report("6 structural constants", False, str(e))
         return
     _report("6 structural constants", True,

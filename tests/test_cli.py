@@ -7,14 +7,19 @@ import sys
 import numpy as np
 import pytest
 
+import geogirth
 from geogirth.cli import main as cli_main
 from geogirth.generator import GeneratorSpec, generate
 from geogirth.sites import read_instance, write_instance
+
+# the CLI subprocess imports the same package as these tests
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(geogirth.__file__))
 
 
 def run_cli(args, env=None):
     e = dict(os.environ)
     e.pop("GEOGIRTH_SEED", None)
+    e["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, e.get("PYTHONPATH")]))
     if env:
         e.update(env)
     proc = subprocess.run([sys.executable, "-m", "geogirth.cli", *args],

@@ -144,16 +144,3 @@ def test_oracle_determinism(make_sites):
     assert (c1 is None) == (c2 is None)
     if c1 is not None:
         assert c1.vertices == c2.vertices and c1.length == c2.length
-
-
-def test_graph_dump_format(tmp_path, make_sites):
-    ss = make_sites(12, seed=15, rmax=0.4)
-    g = build_disk_graph_brute(ss)
-    p = tmp_path / "g.txt"
-    g.dump(p)
-    lines = p.read_text().splitlines()
-    assert len(lines) == g.edge_count()
-    for line in lines:
-        u, v, w = line.split()
-        assert g.has_edge(int(u), int(v))
-        assert float(w) > 0

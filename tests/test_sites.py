@@ -64,6 +64,35 @@ def test_edge_predicates_match_rational_oracle():
     assert mism_tx == 0
 
 
+def test_exact_predicates_match_fraction_arithmetic():
+    # the sign oracles agree with Fraction evaluation on exact tangencies,
+    # near-tangencies and operands whose exponents are far apart
+    def frac_disk(a, b):
+        dx, dy = Fraction(a.x) - Fraction(b.x), Fraction(a.y) - Fraction(b.y)
+        rr = Fraction(a.r) + Fraction(b.r)
+        return dx * dx + dy * dy <= rr * rr
+
+    def frac_tx(a, b):
+        dx, dy = Fraction(a.x) - Fraction(b.x), Fraction(a.y) - Fraction(b.y)
+        return dx * dx + dy * dy <= Fraction(a.r) ** 2
+
+    rng = random.Random(4)
+    pairs = [(Site(0, 0.0, 0.0, 3.0), Site(1, 3.0, 4.0, 2.0)),
+             (Site(0, 3.0, 4.0, 5.0), Site(1, 0.0, 0.0, 1e-20)),
+             (Site(0, 0.0, 0.0, 5e-300), Site(1, 1e-300, -3e-300, 1e-310)),
+             (Site(0, -0.0, 0.0, 1.0), Site(1, 1.0, -0.0, 2.0 ** -60))]
+    for _ in range(2000):
+        a = Site(0, rng.uniform(-4, 4), rng.uniform(-4, 4), rng.uniform(0.01, 3.0))
+        ang, rb = rng.uniform(0, 2 * math.pi), rng.uniform(1e-9, 3.0)
+        for d in (a.r + rb, a.r):
+            pairs.append((a, Site(1, a.x + d * math.cos(ang), a.y + d * math.sin(ang), rb)))
+        pairs.append((a, Site(1, a.x * 2.0 ** -40, a.y * 2.0 ** 40, rb)))
+    for a, b in pairs:
+        for u, v in ((a, b), (b, a)):
+            assert exact_disk_edge(u, v) == frac_disk(u, v)
+            assert exact_tx_edge(u, v) == frac_tx(u, v)
+
+
 def test_tx_implies_disk_and_counterexample_exists():
     rng = random.Random(3)
     found_counter = False

@@ -4,7 +4,9 @@ import math
 import random
 
 import numpy as np
+import pytest
 
+import geogirth
 from geogirth.zorder import (GridCell, ROOT, build_compressed_quadtree,
                              cell_sites, choose_depth, neighborhood,
                              z_compare, z_predecessor)
@@ -64,6 +66,12 @@ def test_z_compare_strict_total_order():
         assert (ab == 0) == (a == b)
         if z_compare(a, b, 9) <= 0 and z_compare(b, c, 9) <= 0:
             assert z_compare(a, c, 9) <= 0
+
+
+def test_duplicate_coordinates_raise_the_package_invariant_violation():
+    # every module raises the one class the package exports
+    with pytest.raises(geogirth.InvariantViolation):
+        build_compressed_quadtree([.25, .25, .5], [.25, .25, .5])
 
 
 def test_quadtree_single_site_and_quadrant_centers():
