@@ -15,8 +15,8 @@ from .graphs import (Cycle, DirectedGraph, Triangle, UndirectedGraph,
                      build_disk_graph_brute, build_tx_graph_brute)
 from .radius_tree import RadiusTree, canonical_nodes, descend_quadtrees
 from .range_search import (ALPHA, CrowdedSquare, QueryTripleR2, R1Outcome,
-                           build_query_hulls, build_union_polytopes, solve_R1,
-                           solve_R2, upper_envelope_faces)
+                           build_query_hulls, solve_R1, solve_R2,
+                           upper_envelope_faces)
 from .sites import (InstanceError, InvariantViolation, LiftedHalfspace,
                     LiftedPoint, Site, SiteSet, ToleranceConfig,
                     circle_circle_points, disk_edge, dist, lift_point,

@@ -119,11 +119,16 @@ class GridIndex:
         return base[:, None] + dk[None, :]
 
     def sites_of_runs(self, run_idx) -> np.ndarray:
-        parts = [self.order[self.run_starts[r]:self.run_ends[r]]
-                 for r in np.asarray(run_idx).ravel().tolist() if r >= 0]
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(parts)
+        """Sites of the given runs, run by run in the given order; -1 skipped.
+
+        Empty cells are dropped in numpy first, so the Python work is one
+        slice per occupied cell: a few for one disk block, dozens for all
+        tx anchor blocks at once."""
+        r = np.asarray(run_idx, dtype=np.int64).ravel()
+        r = r[r >= 0]
+        parts = [self.order[a:b] for a, b in
+                 zip(self.run_starts[r].tolist(), self.run_ends[r].tolist())]
+        return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
     def block_sites(self, site: int, radius_cells: int) -> np.ndarray:
         nk = self.neighbor_keys(np.array([site]), radius_cells)

@@ -1,7 +1,11 @@
 """Balanced binary tree over sites sorted by radius.
 
 Each node owns a contiguous range of the radius-sorted order (its canonical
-interval); any radius range splits into O(log n) canonical nodes.  The
+interval); any radius range splits into O(log n) canonical nodes.  Node
+ids follow the preorder numbering of a stack-built tree: the root is 0 and
+the k-th internal node in preorder has children 2k+1 and 2k+2.  The arrays
+are built one level at a time in numpy; a node's k is its preorder index
+minus the number of leaves before it, which is its range start.  The
 compressed quadtrees of all canonical intervals are derived top-down: a
 child's point set is a filtered copy of its parent's Z-sorted points, and
 its quadtree is rebuilt from those in linear time.
@@ -40,19 +44,25 @@ class RadiusTree:
         left = np.full(m, -1, dtype=np.int64)
         right = np.full(m, -1, dtype=np.int64)
         self.root = 0
-        nxt = 1
-        stack = [(0, 0, n)]
-        while stack:
-            v, a, b = stack.pop()
+        # one level at a time: node ids, ranges [a, b) and preorder indices
+        v = np.zeros(1, dtype=np.int64)
+        a = np.zeros(1, dtype=np.int64)
+        b = np.full(1, n, dtype=np.int64)
+        pre = np.zeros(1, dtype=np.int64)
+        while len(v):
             lo[v] = a
             hi[v] = b
-            if b - a > 1:
-                mid = (a + b) // 2
-                left[v] = nxt
-                right[v] = nxt + 1
-                stack.append((nxt + 1, mid, b))
-                stack.append((nxt, a, mid))
-                nxt += 2
+            split = b - a > 1
+            v, a, b, pre = v[split], a[split], b[split], pre[split]
+            mid = (a + b) // 2
+            # pre - a internal nodes precede v in preorder (a leaves do)
+            k = pre - a
+            left[v] = 2 * k + 1
+            right[v] = 2 * k + 2
+            # the left subtree holds 2 * (mid - a) - 1 nodes
+            pre = np.concatenate((pre + 1, pre + 2 * (mid - a)))
+            v = np.concatenate((left[v], right[v]))
+            a, b = np.concatenate((a, mid)), np.concatenate((mid, b))
         self.lo = lo
         self.hi = hi
         self.left = left

@@ -5,7 +5,9 @@ R1 reports, for every query site s, all sites t with r_t >= r_s/2 lying in
 D_s -- or certifies a crowded square that forces a triangle.  Disks are
 approximated by at most 25 grid cells; cell queries ride down the radius
 tree as Z-sorted batches and reduce to predecessor probes in the per-node
-linearized quadtrees.
+linearized quadtrees.  Nodes of at most 64 sites answer by binary search of
+each cell's key range in their Z-sorted point codes instead.  The edge
+lists come back as CSR arrays.
 
 R2 lifts disks to upper halfspaces and query points onto the paraboloid:
 a query point lies in the union of a canonical interval's disks exactly
@@ -16,12 +18,14 @@ against the faces of the union polytope.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
+from .grids import ranges_concat
 from .radius_tree import RadiusTree
 from .sites import InvariantViolation, SiteSet
 from .zorder import (CompressedQuadtree, ZKeys,
@@ -41,39 +45,41 @@ class CrowdedSquare:
 
     def qualifying_sites(self, S: SiteSet) -> list[int]:
         x1, y1 = self.x0 + self.side, self.y0 + self.side
-        thr = self.side / 4.0
-        out = []
-        for s in S:
-            if self.x0 <= s.x <= x1 and self.y0 <= s.y <= y1 and s.r >= thr:
-                out.append(s.id)
-        return out
+        inside = ((self.x0 <= S.xs) & (S.xs <= x1) & (self.y0 <= S.ys)
+                  & (S.ys <= y1) & (S.rs >= self.side / 4.0))
+        return np.flatnonzero(inside).tolist()
 
 
 @dataclass
 class R1Outcome:
+    """Either a crowded square or the edge lists, never both.
+
+    `offsets` (n + 1 entries) and `targets` are the edge lists in CSR form:
+    site s's targets are targets[offsets[s]:offsets[s + 1]], in increasing
+    id order, at most alpha of them; sites that were not queried have none.
+    Both are None when the outcome is crowded.
+    """
+
     crowded: Optional[CrowdedSquare]
-    edges: Optional[list[np.ndarray]]   # per query site, target ids (<= alpha)
+    offsets: Optional[np.ndarray] = None
+    targets: Optional[np.ndarray] = None
 
     @property
     def is_crowded(self) -> bool:
         return self.crowded is not None
 
+    @functools.cached_property
+    def edges(self) -> Optional[list[np.ndarray]]:
+        """Per-site views of the target lists, built on first read."""
+        if self.offsets is None:
+            return None
+        bounds = self.offsets.tolist()
+        return [self.targets[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+
 
 class _CrowdedAbort(Exception):
     def __init__(self, square: CrowdedSquare):
         self.square = square
-
-
-def _ranges_concat(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Concatenation of arange(lo_i, hi_i) for all i (empty ranges skipped)."""
-    k = hi - lo
-    nz = k > 0
-    lo, k = lo[nz], k[nz]
-    if not len(k):
-        return np.empty(0, dtype=np.int64)
-    ends = np.cumsum(k)
-    starts = ends - k
-    return np.arange(ends[-1], dtype=np.int64) + np.repeat(lo - starts, k)
 
 
 def _neighborhood_rows(S: SiteSet, query_ids: np.ndarray, zk: ZKeys):
@@ -145,20 +151,20 @@ def solve_R1(S: SiteSet, query_ids: Optional[Sequence[int]] = None,
     or a crowded square witnessing a triangle.
 
     Cell batches ride down the radius tree; nodes larger than a small cutoff
-    answer by quadtree predecessor search, the bottom fringe by direct
-    vectorized filtering (same outputs, less per-node overhead).
+    answer by quadtree predecessor search.  Nodes of at most _FAT_LEAF sites
+    place each cell's key range [k0, k3] in their Z-sorted point codes by
+    binary search and keep the sites at or above the row's radius position
+    (same outputs, less per-node overhead).
     """
     n = len(S)
-    if n == 0:
-        return R1Outcome(None, [])
-    norm = S.normalized()
-    B = RadiusTree(norm)
     if query_ids is None:
         qids = np.arange(n, dtype=np.int64)
     else:
         qids = np.asarray(sorted(query_ids), dtype=np.int64)
     if len(qids) == 0:
-        return R1Outcome(None, [np.empty(0, dtype=np.int64) for _ in range(n)])
+        return R1Outcome(None, np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64))
+    norm = S.normalized()
+    B = RadiusTree(norm)
 
     depth = choose_depth(norm.xs, norm.ys, float(norm.rs[qids].min()))
     zk = ZKeys(depth)
@@ -167,7 +173,8 @@ def solve_R1(S: SiteSet, query_ids: Optional[Sequence[int]] = None,
 
     q_site, qk0, qk3, qck = _neighborhood_rows(norm, qids, zk)
     i1 = np.searchsorted(B.radii_sorted, norm.rs[q_site] / 2.0, side="left")
-    order = np.argsort(qck, kind="stable")
+    # rows with equal keys share one cell, so their order is immaterial
+    order = np.argsort(qck)
     q_site, qk0, qk3, qck, i1 = (q_site[order], qk0[order], qk3[order],
                                  qck[order], i1[order])
 
@@ -197,7 +204,7 @@ def solve_R1(S: SiteSet, query_ids: Optional[Sequence[int]] = None,
         if over.any():
             raise crowded_from_row(int(sel[int(np.flatnonzero(over)[0])]))
         if int(k.sum()):
-            flat = _ranges_concat(lo, hi)
+            flat = ranges_concat(lo, hi)[1]
             pairs_s.append(np.repeat(q_site[sel], k))
             pairs_t.append(tree.zorder_sites[flat])
 
@@ -205,23 +212,17 @@ def solve_R1(S: SiteSet, query_ids: Optional[Sequence[int]] = None,
                  codes_z: np.ndarray) -> None:
         if not len(sites_z) or not len(rows):
             return
-        lo_v = int(B.lo[v])
-        pos = B.pos_of_site[sites_z]
-        chunk = max(1, (1 << 20) // max(len(sites_z), 1))
-        for c0 in range(0, len(rows), chunk):
-            rr = rows[c0:c0 + chunk]
-            start = np.maximum(i1[rr], lo_v)
-            m = (pos[None, :] >= start[:, None]) \
-                & (codes_z[None, :] >= qk0[rr][:, None]) \
-                & (codes_z[None, :] <= qk3[rr][:, None])
-            counts = m.sum(axis=1)
-            over = counts > alpha
-            if over.any():
-                raise crowded_from_row(int(rr[int(np.flatnonzero(over)[0])]))
-            ri, zi = np.nonzero(m)
-            if len(ri):
-                pairs_s.append(q_site[rr[ri]])
-                pairs_t.append(sites_z[zi])
+        lo = np.searchsorted(codes_z, qk0[rows], side="left")
+        hi = np.searchsorted(codes_z, qk3[rows], side="right")
+        ri, zi = ranges_concat(lo, hi)
+        keep = B.pos_of_site[sites_z[zi]] >= np.maximum(i1[rows[ri]], int(B.lo[v]))
+        ri, zi = ri[keep], zi[keep]
+        over = np.bincount(ri, minlength=len(rows)) > alpha
+        if over.any():
+            raise crowded_from_row(int(rows[int(np.flatnonzero(over)[0])]))
+        if len(ri):
+            pairs_s.append(q_site[rows[ri]])
+            pairs_t.append(sites_z[zi])
 
     def visit(v: int, rows: np.ndarray, sites_z: np.ndarray, codes_z: np.ndarray) -> None:
         lo_v, hi_v = int(B.lo[v]), int(B.hi[v])
@@ -248,7 +249,7 @@ def solve_R1(S: SiteSet, query_ids: Optional[Sequence[int]] = None,
     try:
         visit(B.root, root_rows, z_order, codes[z_order])
     except _CrowdedAbort as ab:
-        return R1Outcome(ab.square, None)
+        return R1Outcome(ab.square)
 
     if pairs_s:
         ps = np.concatenate(pairs_s)
@@ -266,18 +267,12 @@ def solve_R1(S: SiteSet, query_ids: Optional[Sequence[int]] = None,
     if len(over):
         s = int(over[0])
         side = 2.0 * S.rs[s]
-        return R1Outcome(CrowdedSquare(S.xs[s] - S.rs[s], S.ys[s] - S.rs[s], side), None)
+        return R1Outcome(CrowdedSquare(S.xs[s] - S.rs[s], S.ys[s] - S.rs[s], side))
     keep = ps != pt
     ps, pt = ps[keep], pt[keep]
-    edges: list[np.ndarray] = [np.empty(0, dtype=np.int64) for _ in range(n)]
-    if len(ps):
-        o = np.lexsort((pt, ps))
-        ps, pt = ps[o], pt[o]
-        starts = np.flatnonzero(np.concatenate(([True], ps[1:] != ps[:-1])))
-        ends = np.concatenate((starts[1:], [len(ps)]))
-        for a, b in zip(starts.tolist(), ends.tolist()):
-            edges[int(ps[a])] = pt[a:b]
-    return R1Outcome(None, edges)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ps, minlength=n), out=offsets[1:])
+    return R1Outcome(None, offsets, pt[np.lexsort((pt, ps))])
 
 
 def _query_level(norm: SiteSet, site: int, zk: ZKeys) -> int:
@@ -343,42 +338,12 @@ def upper_envelope_faces(planes: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class UnionPolytope:
-    """Intersection of the lifted halfspaces of one canonical interval."""
-
-    site_ids: np.ndarray        # radius-sorted site ids of the interval
-    planes: np.ndarray          # all bounding planes, aligned with site_ids
-    face_idx: np.ndarray        # indices into planes of the envelope faces
-
-    def face_sites(self) -> np.ndarray:
-        return self.site_ids[self.face_idx]
-
-    def max_plane_value(self, pts: np.ndarray) -> np.ndarray:
-        """max_i a_i*x + b_i*y + c_i over the faces, per query point."""
-        pl = self.planes[self.face_idx]
-        return (pts[:, :2] @ pl[:, :2].T + pl[:, 2][None, :]).max(axis=1)
-
-
-@dataclass
 class QueryHull:
     """Convex hull of the lifted query points with a given canonical node;
     every lifted point lies on the paraboloid, hence is a hull vertex."""
 
     query_idx: np.ndarray       # indices into the query list (empty marker: len 0)
     points: np.ndarray          # (m, 3) lifted coordinates
-
-
-def build_union_polytopes(B: RadiusTree, envelope: bool = True) -> dict[int, UnionPolytope]:
-    """One union polytope per tree node (from the node's plane slice)."""
-    planes_sorted = lifted_planes(B.S)[B.order]
-    out: dict[int, UnionPolytope] = {}
-    for v in range(len(B)):
-        lo, hi = int(B.lo[v]), int(B.hi[v])
-        pl = planes_sorted[lo:hi]
-        ids = B.order[lo:hi]
-        faces = upper_envelope_faces(pl) if envelope else np.arange(hi - lo)
-        out[v] = UnionPolytope(ids, pl, faces)
-    return out
 
 
 def _canonical_ranges(B: RadiusTree, q: QueryTripleR2) -> list[tuple[int, int]]:

@@ -22,7 +22,7 @@ from .chan import shortest_triangle
 from .graphs import (Triangle, brute_directed_triangle,
                      brute_shortest_directed_triangle, build_tx_graph_brute,
                      triangle_is_valid_tx)
-from .grids import GridIndex
+from .grids import GridIndex, ranges_concat
 from .range_search import ALPHA, QueryTripleR2, solve_R1, solve_R2
 from .sites import InvariantViolation, SiteSet, triangle_perimeter, tx_edge
 
@@ -54,14 +54,6 @@ def _triangle(S: SiteSet, i: int, j: int, k: int) -> Triangle:
     return tri
 
 
-def _edge_arrays(edges: list[np.ndarray]):
-    """CSR-style flattening of the per-site target lists."""
-    counts = np.array([len(e) for e in edges], dtype=np.int64)
-    offs = np.concatenate(([0], np.cumsum(counts)))
-    flat = np.concatenate(edges) if counts.sum() else np.empty(0, dtype=np.int64)
-    return counts, offs, flat
-
-
 def _crowded_triangle(S: SiteSet, square, alpha: int = ALPHA) -> Triangle:
     """A directed triangle among alpha + 1 fat sites of a crowded square."""
     ids = square.qualifying_sites(S)
@@ -85,10 +77,10 @@ def find_directed_triangle(S: SiteSet) -> Optional[Triangle]:
     r1 = solve_R1(S)
     if r1.is_crowded:
         return _crowded_triangle(S, r1.crowded)
-    edges = r1.edges
-    counts, offs, flat = _edge_arrays(edges)
+    offs, flat = r1.offsets, r1.targets
     if not len(flat):
         return None
+    counts = np.diff(offs)
     src = np.repeat(np.arange(n, dtype=np.int64), counts)
     dst = flat
     # first test: edges st with r_t >= r_s, one more hop through the lists
@@ -103,7 +95,7 @@ def find_directed_triangle(S: SiteSet) -> Optional[Triangle]:
             continue
         s_exp = np.repeat(s_blk, reps)
         t_exp = np.repeat(t_blk, reps)
-        u_exp = flat[_csr_gather(offs, t_blk, reps)]
+        u_exp = flat[ranges_concat(offs[t_blk], offs[t_blk + 1])[1]]
         ok = (u_exp != s_exp) & (u_exp != t_exp)
         dx = S.xs[s_exp] - S.xs[u_exp]
         dy = S.ys[s_exp] - S.ys[u_exp]
@@ -122,13 +114,6 @@ def find_directed_triangle(S: SiteSet) -> Optional[Triangle]:
         q = queries[qi]
         return _triangle(S, q.s, q.tag, u)
     return None
-
-
-def _csr_gather(offs: np.ndarray, rows: np.ndarray, reps: np.ndarray) -> np.ndarray:
-    """Indices of the concatenated lists flat[offs[r]:offs[r]+reps[r]]."""
-    ends = np.cumsum(reps)
-    starts = ends - reps
-    return np.arange(int(ends[-1]), dtype=np.int64) + np.repeat(offs[rows] - starts, reps)
 
 
 # ---------------------------------------------------------------------------
@@ -155,20 +140,22 @@ def decide_tx_perimeter(S: SiteSet, W: float) -> bool:
 
     # (2) small -> large edges via the restricted range reporter; a crowded
     # square here has side < 2*ell and forces a short triangle, and a large
-    # site with incoming degree > 6 forces one too
-    incoming: dict[int, list[int]] = {}
+    # site with incoming degree > 6 forces one too.  The small in-neighbors
+    # of a large site t, by increasing id, are in_src[in_offs[t]:in_offs[t + 1]]
+    in_offs = np.zeros(n + 1, dtype=np.int64)
+    in_src = np.empty(0, dtype=np.int64)
     if len(small_ids):
         r1 = solve_R1(S, query_ids=small_ids.tolist())
         if r1.is_crowded:
             return True
-        indeg = np.zeros(n, dtype=np.int64)
-        for s in small_ids.tolist():
-            for t in r1.edges[s].tolist():
-                if large_mask[t]:
-                    indeg[t] += 1
-                    incoming.setdefault(t, []).append(s)
+        src = np.repeat(np.arange(n, dtype=np.int64), np.diff(r1.offsets))
+        to_large = large_mask[r1.targets]
+        dst = r1.targets[to_large]
+        indeg = np.bincount(dst, minlength=n)
         if int(indeg.max(initial=0)) > 6:
             return True
+        np.cumsum(indeg, out=in_offs[1:])
+        in_src = src[to_large][np.argsort(dst, kind="stable")]
 
     # (3) per grid cell: any in-cell triangle has perimeter <= W; three
     # large sites in one cell always form one
@@ -184,30 +171,36 @@ def decide_tx_perimeter(S: SiteSet, W: float) -> bool:
     # (4) remaining triangles: the max-radius vertex t is large, the other
     # two vertices lie within W/2 of t, i.e. inside the 9x9 block of t's
     # cell (W/2 is 3.68 grid sides); t's cycle-predecessor x is either
-    # large (O(1) per block) or one of t's <= 6 small in-neighbors
+    # large (O(1) per block) or one of t's <= 6 small in-neighbors.  The
+    # blocks of all anchor cells come from one batched lookup, cut at the
+    # cumulative block sizes.
     if not large_mask.any():
         return False
-    for r in np.flatnonzero(large_per_run > 0).tolist():
-        anchor = int(G.order[G.run_starts[r]])
+    runs = np.flatnonzero(large_per_run > 0)
+    blk_runs = G.lookup_many(G.neighbor_keys(G.order[G.run_starts[runs]], 4).ravel())
+    blocks = G.sites_of_runs(blk_runs)
+    sizes = np.where(blk_runs >= 0, G.run_sizes[blk_runs], 0).reshape(len(runs), -1)
+    ends = np.cumsum(sizes.sum(axis=1)).tolist()
+    sites = S.sites
+    for r, b0, b1 in zip(runs.tolist(), [0] + ends[:-1], ends):
         run_ids = G.order[G.run_starts[r]:G.run_ends[r]]
-        block = G.sites_of_runs(G.lookup_many(
-            G.neighbor_keys(np.array([anchor]), 4).ravel()))
+        block = blocks[b0:b1]
         block_list = block.tolist()
         block_set = set(block_list)
         t_in_cell = run_ids[large_mask[run_ids]]
         blk_large = block[large_mask[block]].tolist()
         for t in t_in_cell.tolist():
             xs = [u for u in blk_large if u != t]
-            xs += [u for u in incoming.get(t, []) if u in block_set]
-            st = S[t]
+            xs += [u for u in in_src[in_offs[t]:in_offs[t + 1]].tolist() if u in block_set]
+            st = sites[t]
             for x in xs:
-                sx = S[x]
+                sx = sites[x]
                 if not tx_edge(sx, st):      # need the in-arc x -> t
                     continue
                 for y in block_list:
                     if y == t or y == x:
                         continue
-                    sy = S[y]
+                    sy = sites[y]
                     # cycle t -> y -> x -> t
                     if not (tx_edge(st, sy) and tx_edge(sy, sx)):
                         continue

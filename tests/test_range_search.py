@@ -3,13 +3,16 @@
 import math
 import random
 
+import numpy as np
 
+from geogirth.generator import GeneratorSpec, generate
+from geogirth.grids import GridIndex
 from geogirth.radius_tree import RadiusTree, canonical_nodes, descend_quadtrees
-from geogirth.range_search import (ALPHA, QueryTripleR2, build_query_hulls,
-                                   build_union_polytopes, lifted_planes,
-                                   solve_R1, solve_R2)
+from geogirth.range_search import (ALPHA, CrowdedSquare, QueryTripleR2,
+                                   build_query_hulls, lifted_planes, solve_R1,
+                                   solve_R2, upper_envelope_faces)
 from geogirth.sites import Site, SiteSet
-from geogirth.zorder import build_compressed_quadtree
+from geogirth.zorder import INT64_MAX_DEPTH, build_compressed_quadtree, choose_depth
 
 
 def S(*triples):
@@ -42,6 +45,35 @@ def test_radius_tree_interval_total_size(make_sites):
             sites = B.node_sites(v)
             radii = ss.rs[sites]
             assert (radii[1:] >= radii[:-1]).all()
+
+
+def _stack_built_tree(n):
+    """lo/hi/left/right of the radius tree built node by node in preorder."""
+    m = 2 * n - 1
+    lo, hi = [0] * m, [0] * m
+    left, right = [-1] * m, [-1] * m
+    nxt = 1
+    stack = [(0, 0, n)]
+    while stack:
+        v, a, b = stack.pop()
+        lo[v], hi[v] = a, b
+        if b - a > 1:
+            mid = (a + b) // 2
+            left[v], right[v] = nxt, nxt + 1
+            stack.append((nxt + 1, mid, b))
+            stack.append((nxt, a, mid))
+            nxt += 2
+    return lo, hi, left, right
+
+
+def test_radius_tree_arrays_match_stack_build():
+    for n in list(range(1, 301)) + [16384]:
+        rng = np.random.default_rng(n)
+        ss = SiteSet._from_arrays(rng.random(n), rng.random(n), rng.random(n) + 0.01)
+        B = RadiusTree(ss)
+        got = (B.lo.tolist(), B.hi.tolist(), B.left.tolist(), B.right.tolist())
+        assert got == _stack_built_tree(n), n
+        assert B.root == 0
 
 
 def test_canonical_nodes_cover_all_and_empty(make_sites):
@@ -108,6 +140,16 @@ def test_descend_root_equals_full_build(make_sites):
 # R1
 
 
+def _brute_r1_arrays(ss):
+    """Per-site sorted target lists, vectorised over all pairs."""
+    dx = ss.xs[:, None] - ss.xs[None, :]
+    dy = ss.ys[:, None] - ss.ys[None, :]
+    ok = (dx * dx + dy * dy <= (ss.rs ** 2)[:, None]) \
+        & (ss.rs[None, :] >= ss.rs[:, None] / 2)
+    np.fill_diagonal(ok, False)
+    return [np.flatnonzero(row).tolist() for row in ok]
+
+
 def _brute_r1(ss, qids=None, alpha=ALPHA):
     n = len(ss)
     if qids is None:
@@ -158,6 +200,46 @@ def test_r1_matches_brute_filter(make_sites):
                 [sorted(e) for e in exp]
 
 
+def test_r1_fat_leaf_aborts_on_dense_instance():
+    # 40 sites (one fat leaf at the root) of nearly equal radius packed into
+    # a square much smaller than their disks: a query's cells hold them all
+    rng = random.Random(84)
+    ss = S(*[(rng.uniform(0.0, 0.01), rng.uniform(0.0, 0.01), rng.uniform(0.2, 0.21))
+             for _ in range(40)])
+    out = solve_R1(ss, alpha=2)
+    assert out.is_crowded and out.edges is None
+    assert len(out.crowded.qualifying_sites(ss)) > 2
+    # a grid cell, not the bounding square of one disk's crowded edge list
+    assert out.crowded not in [
+        CrowdedSquare(ss.xs[s] - ss.rs[s], ss.ys[s] - ss.rs[s], 2.0 * ss.rs[s])
+        for s in range(len(ss))]
+
+
+def test_r1_matches_brute_at_python_int_depth():
+    # radii spanning 1e-11..0.3 and a cluster of 1e-9 disks a few 1e-12
+    # apart need Z-order depth 74, beyond int64 keys, so the leaf search
+    # runs on Python-int codes
+    rng = np.random.default_rng(85)
+    n = 200
+    rs = np.exp(rng.uniform(math.log(1e-11), math.log(0.3), n)).tolist()
+    pts = [(x, y, r) for x, y, r in zip(rng.random(n).tolist(), rng.random(n).tolist(), rs)]
+    pts += [(0.5 + 2e-12 * i, 0.5 + 3e-12 * (i % 5), 1e-9 * (1 + i % 3)) for i in range(30)]
+    ss = S(*pts)
+    norm = ss.normalized()
+    assert choose_depth(norm.xs, norm.ys, float(norm.rs.min())) == 74 > INT64_MAX_DEPTH
+    out = solve_R1(ss)
+    assert not out.is_crowded
+    assert [e.tolist() for e in out.edges] == _brute_r1_arrays(ss)
+
+
+def test_r1_matches_brute_where_fat_leaves_dominate():
+    ss = generate(GeneratorSpec(n=2000, r_min=0.01, r_max=0.1))
+    out = solve_R1(ss)
+    assert not out.is_crowded
+    assert [e.tolist() for e in out.edges] == _brute_r1_arrays(ss)
+    assert out.offsets[-1] == len(out.targets) == sum(len(e) for e in out.edges)
+
+
 def test_r1_restricted_queries(make_sites):
     rng = random.Random(78)
     for _ in range(25):
@@ -181,10 +263,10 @@ def test_r1_restricted_queries(make_sites):
 
 
 def test_union_polytope_single_disk_is_one_halfspace():
-    ss = S((0.4, 0.4, 0.2))
-    B = RadiusTree(ss.normalized())
-    polys = build_union_polytopes(B)
-    assert len(polys[B.root].face_idx) == 1
+    ss = S((0.4, 0.4, 0.2)).normalized()
+    B = RadiusTree(ss)
+    lo, hi = int(B.lo[B.root]), int(B.hi[B.root])
+    assert len(upper_envelope_faces(lifted_planes(ss)[B.order[lo:hi]])) == 1
 
 
 def test_union_polytope_faces_match_coverage_oracle(make_sites):
@@ -192,11 +274,10 @@ def test_union_polytope_faces_match_coverage_oracle(make_sites):
     rng = random.Random(79)
     ss = make_sites(40, seed=80, rmin=0.05, rmax=0.35).normalized()
     B = RadiusTree(ss)
-    polys = build_union_polytopes(B)
     for v in (B.root, int(B.left[B.root]), int(B.right[B.root])):
-        poly = polys[v]
-        ids = poly.site_ids
-        faces = set(poly.site_ids[poly.face_idx].tolist())
+        lo, hi = int(B.lo[v]), int(B.hi[v])
+        ids = B.order[lo:hi]
+        faces = set(ids[upper_envelope_faces(lifted_planes(ss)[ids])].tolist())
         for k, sid in enumerate(ids.tolist()):
             x0, y0, r0 = ss.xs[sid], ss.ys[sid], ss.rs[sid]
             covered = True
@@ -278,3 +359,19 @@ def test_lifting_soundness_per_node(make_sites):
         viol = bool((planes[lo:hi, 0] * px + planes[lo:hi, 1] * py +
                      planes[lo:hi, 2] > pz).any())
         assert viol == in_union
+
+
+# ---------------------------------------------------------------------------
+# grid blocks
+
+
+def test_sites_of_runs_keeps_run_order_and_skips_missing():
+    ss = S((0.1, 0.1, 0.1), (2.1, 0.2, 0.1), (0.3, 0.4, 0.1), (2.5, 0.5, 0.1),
+           (5.5, 5.5, 0.1))
+    G = GridIndex(ss, 1.0, 0.0, 0.0)
+    runs = {tuple(sorted(G.order[G.run_starts[r]:G.run_ends[r]].tolist())): r
+            for r in range(len(G.run_keys))}
+    assert sorted(runs) == [(0, 2), (1, 3), (4,)]
+    got = G.sites_of_runs([runs[(4,)], -1, runs[(1, 3)], -1, runs[(0, 2)]])
+    assert got.tolist() == [4, 1, 3, 0, 2]
+    assert G.sites_of_runs(np.array([-1, -1])).tolist() == []
