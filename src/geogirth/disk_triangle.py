@@ -16,10 +16,10 @@ from typing import Optional
 import numpy as np
 
 from .chan import shortest_triangle
-from .grids import GridIndex, ShiftedGrids, close_pairs
+from .grids import ShiftedGrids, ShiftedGridIndex, close_pairs, ranges_concat
 from .graphs import (Triangle, UndirectedGraph, brute_shortest_triangle,
                      brute_triangle, build_disk_graph_brute)
-from .sites import InvariantViolation, SiteSet, disk_edge, triangle_perimeter
+from .sites import InvariantViolation, SiteSet, disk_edges, triangle_perimeter
 from .sweep import build_plane_or_witness
 
 SQRT2 = math.sqrt(2.0)
@@ -86,10 +86,16 @@ def find_triangle_disk(S: SiteSet) -> Optional[Triangle]:
 def decide_perimeter(S: SiteSet, W: float) -> bool:
     """Does the disk graph contain a triangle of perimeter at most W?
 
-    Grid side is W/(3*sqrt(2)) so a cell's diameter is W/3: (a) any in-cell
-    triangle qualifies; failing that, every triangle has a large vertex
-    (radius > ell/4) and is caught either by the two-large-vertex scan (b)
-    or the short-edge-plus-large-vertex scan (c) over 5x5 cell blocks.
+    Grid side is W/(3*sqrt(2)) so a cell's diameter is W/3; the sites are
+    bucketed into the four shifted grids with one sort.  (a) Any in-cell
+    triangle qualifies: cells of three or more sites go through the plane
+    sweep one at a time.  Failing that, no cell holds more than 18 large
+    sites (radius > ell/4), every triangle has a large vertex, and the rest
+    is tested in batches of candidate triples: (b) two large vertices, the
+    large pairs within W/2 from one ``close_pairs`` join against the 7x7
+    block of grid 0 around the first; (c) exactly one large vertex, whose
+    small-small edge is short (<= ell/2), hence inside one cell of one grid,
+    against the large sites of that cell's 5x5 block.
     """
     if not (W > 0.0) or not math.isfinite(W):
         raise ValueError("W must be positive and finite")
@@ -101,90 +107,89 @@ def decide_perimeter(S: SiteSet, W: float) -> bool:
     # explicit perimeter tests below use the canonical sorted-id evaluation
     ell = W / (3.0 * SQRT2) * (1.0 - 1e-12)
     large_mask = S.rs > ell / 4.0
-    half_w = W / 2.0
-    half_w_pad = half_w * (1.0 + 1e-9)
+    G = ShiftedGridIndex(S.xs, S.ys, ell)
+    order = G.order.ravel()
 
-    grids = [GridIndex(S, ell, ox, oy) for ox, oy in ShiftedGrids(ell).offsets]
+    # (a) per-cell triangle search, grid by grid in key order; the
+    # small-small edges of triangle-free cells are kept for step (c)
+    small = ~large_mask
+    two = np.flatnonzero(G.run_size == 2)
+    a2, b2 = order[G.run_start[two]], order[G.run_start[two] + 1]
+    keep = small[a2] & small[b2]
+    two, a2, b2 = two[keep], a2[keep], b2[keep]
+    keep = disk_edges(S, a2, b2)
+    ea, eb, er = [a2[keep]], [b2[keep]], [two[keep]]
+    big = np.flatnonzero(G.run_size >= 3)
+    for r, lo, size in zip(big.tolist(), G.run_start[big].tolist(),
+                           G.run_size[big].tolist()):
+        ids = order[lo:lo + size]
+        sub = S.subset(ids)
+        out = build_plane_or_witness(sub)
+        if not out.plane:
+            return True
+        if planar_triangle(out.graph, sub) is not None:
+            return True
+        uv = ids[np.array([(u, v) for u, v, _ in out.graph.edges()],
+                          dtype=np.int64).reshape(-1, 2)]
+        uv = uv[small[uv[:, 0]] & small[uv[:, 1]]]
+        ea.append(uv[:, 0])
+        eb.append(uv[:, 1])
+        er.append(np.full(len(uv), r, dtype=np.int64))
+    if G.run_size.max() > 18:
+        nl = np.add.reduceat(large_mask[order].astype(np.int64), G.run_start).max()
+        if nl > 18:
+            raise InvariantViolation(f"triangle-free cell holds {nl} > 18 large sites")
 
-    # (a) per-cell triangle search; cache plane cell graphs for step (c)
-    cell_graphs: list[list] = [[] for _ in range(4)]
-    for gi, G in enumerate(grids):
-        large_per_run = G.run_reduce(large_mask.astype(np.int64))
-        multi = np.flatnonzero(G.run_sizes >= 2)
-        for r in multi.tolist():
-            ids = G.order[G.run_starts[r]:G.run_ends[r]]
-            if len(ids) >= 3:
-                sub = S.subset(ids.tolist())
-                out = build_plane_or_witness(sub)
-                if not out.plane:
-                    return True
-                if planar_triangle(out.graph, sub) is not None:
-                    return True
-                cell_graphs[gi].append((r, ids, out.graph))
-            else:
-                cell_graphs[gi].append((r, ids, None))
-            nl = int(large_per_run[r])
-            if nl > 18:
-                raise InvariantViolation(
-                    f"triangle-free cell holds {nl} > 18 large sites")
-
-    # (b) triangles with two large vertices: large pairs within W/2 from a
-    # single coarse-grid join; the third vertex is scanned over the 7x7
-    # block around the first one (covering everything within W/2 of it)
+    # (b) triangles with two large vertices: the third vertex lies within
+    # W/2 of the first, i.e. in the 7x7 block of grid 0 around it
     lidx = np.flatnonzero(large_mask)
     if len(lidx) >= 2:
-        pa, pb = close_pairs(S.xs, S.ys, lidx, half_w_pad)
+        pa, pb = close_pairs(S.xs, S.ys, lidx, W / 2.0 * (1.0 + 1e-9))
+        keep = pa < pb
+        pa, pb = pa[keep], pb[keep]
+        keep = disk_edges(S, pa, pb)
+        pa, pb = pa[keep], pb[keep]
         if len(pa):
-            keep = pa < pb
-            pa, pb = pa[keep], pb[keep]
-            dx = S.xs[pa] - S.xs[pb]
-            dy = S.ys[pa] - S.ys[pb]
-            rr = S.rs[pa] + S.rs[pb]
-            keep = dx * dx + dy * dy <= rr * rr
-            pa, pb = pa[keep], pb[keep]
-        block_cache: dict[int, np.ndarray] = {}
-        for s_id, t_id in zip(pa.tolist(), pb.tolist()):
-            s_site, t_site = S[s_id], S[t_id]
-            block = block_cache.get(s_id)
-            if block is None:
-                block = grids[0].block_sites(s_id, 3)
-                block_cache[s_id] = block
-            for u_id in block.tolist():
-                if u_id == s_id or u_id == t_id:
-                    continue
-                u_site = S[u_id]
-                if not disk_edge(s_site, u_site) or not disk_edge(t_site, u_site):
-                    continue
-                if triangle_perimeter(s_site, t_site, u_site) <= W:
-                    return True
+            p, u = G.blocks(np.zeros(len(pa), dtype=np.int64), G.site_keys[0][pa], 3)
+            if _short_triangle(S, W, pa[p], pb[p], u):
+                return True
 
-    # (c) triangles with exactly one large vertex: the small-small edge is
-    # short (<= ell/2), hence inside a single cell of one of the grids
-    for gi, G in enumerate(grids):
-        for r, ids, graph in cell_graphs[gi]:
-            if graph is None:
-                a, b = int(ids[0]), int(ids[1])
-                pairs = [(a, b)] if disk_edge(S[a], S[b]) else []
-            else:
-                pairs = [(int(ids[u]), int(ids[v])) for u, v, _ in graph.edges()]
-            pairs = [(a, b) for a, b in pairs
-                     if not large_mask[a] and not large_mask[b]]
-            if not pairs:
-                continue
-            block = G.block_sites(int(ids[0]), 2)
-            ul = block[large_mask[block]]
-            if len(ul) == 0:
-                continue
-            for a, b in pairs:
-                sa, sb = S[a], S[b]
-                for u_id in ul.tolist():
-                    if u_id == a or u_id == b:
-                        continue
-                    u_site = S[u_id]
-                    if not disk_edge(sa, u_site) or not disk_edge(sb, u_site):
-                        continue
-                    if triangle_perimeter(sa, sb, u_site) <= W:
-                        return True
+    # (c) triangles with exactly one large vertex: the large sites of the
+    # 5x5 block around each cell holding a small-small edge
+    ea, eb, er = np.concatenate(ea), np.concatenate(eb), np.concatenate(er)
+    if not len(ea):
+        return False
+    cells = np.zeros(len(G.run_size), dtype=bool)
+    cells[er] = True
+    anchors = np.flatnonzero(cells)
+    owner, u = G.blocks(G.run_grid[anchors], G.keys.ravel()[G.run_start[anchors]], 2)
+    keep = large_mask[u]
+    owner, u = owner[keep], u[keep]
+    anchor_of = np.cumsum(cells)[er] - 1
+    p, j = ranges_concat(np.searchsorted(owner, anchor_of),
+                         np.searchsorted(owner, anchor_of + 1))
+    return _short_triangle(S, W, ea[p], eb[p], u[j])
+
+
+def _short_triangle(S: SiteSet, W: float, s: np.ndarray, t: np.ndarray,
+                    u: np.ndarray) -> bool:
+    """Is some (s_i, t_i, u_i), with s_i t_i a disk-graph edge, a triangle
+    of perimeter at most W?
+
+    The edge tests are exact (``disk_edges``); the ``np.hypot`` prefilter,
+    padded by one part in 10^9, keeps every triple whose canonical
+    perimeter can be <= W, and only its survivors are evaluated by
+    ``triangle_perimeter``."""
+    keep = (u != s) & (u != t)
+    keep[keep] = disk_edges(S, s[keep], u[keep]) & disk_edges(S, t[keep], u[keep])
+    s, t, u = s[keep], t[keep], u[keep]
+    xs, ys = S.xs, S.ys
+    per = (np.hypot(xs[s] - xs[t], ys[s] - ys[t])
+           + np.hypot(xs[s] - xs[u], ys[s] - ys[u])
+           + np.hypot(xs[t] - xs[u], ys[t] - ys[u]))
+    for i in np.flatnonzero(per <= W * (1.0 + 1e-9)).tolist():
+        if triangle_perimeter(S[int(s[i])], S[int(t[i])], S[int(u[i])]) <= W:
+            return True
     return False
 
 

@@ -1,8 +1,16 @@
 """Uniform grid bucketing with packed integer cell keys.
 
-Shared by the perimeter decisions and the weighted-girth cell sweep: sites
-are bucketed by floor division, cells are addressed by packed (ix, iy) keys,
-and neighbor blocks are fetched by batched binary search.
+A site (x, y) lies in cell (floor((x - ox) / ell), floor((y - oy) / ell)),
+addressed by the packed key ix * 2^32 + iy; once an index reaches 2^30,
+where that would overflow int64, keys are Python ints ix * 2^1026 + iy
+(every finite float index is below 2^1024, so no two cells share a key,
+and iy +- k stays inside row ix).  ``GridIndex`` buckets
+one grid for the weighted-girth cell sweep and the transmission decision;
+``ShiftedGridIndex`` buckets the four shifted grids of the disk perimeter
+decision with one sort along the rows of a (4, n) key array.  Cells
+(ix + dx, iy - k .. iy + k) are consecutive keys, so a (2k+1)^2 block is
+2k+1 ranges of a sorted key row: blocks around many anchors, and the 3x3
+join of ``close_pairs``, take one pair of ``searchsorted`` calls.
 """
 
 from __future__ import annotations
@@ -17,6 +25,26 @@ from .sites import SiteSet
 
 _KEY_BASE = 1 << 32
 _KEY_GUARD = 1 << 30
+_WIDE_KEY_BASE = 1 << 1026
+_GRID_ROWS = np.arange(4)[:, None]
+
+
+def _cell_keys(xs: np.ndarray, ys: np.ndarray, ell: float, ox, oy):
+    """Cell indices ix, iy of every site and their packed keys; offsets
+    broadcast against the coordinates.  int64 arrays, or object arrays of
+    Python ints when some index reaches 2^30."""
+    fx = np.floor((xs - ox) / ell)
+    fy = np.floor((ys - oy) / ell)
+    if max(np.abs(fx).max(initial=0), np.abs(fy).max(initial=0)) < _KEY_GUARD:
+        ix, iy = fx.astype(np.int64), fy.astype(np.int64)
+    else:
+        ix = np.array([int(v) for v in fx.ravel()], dtype=object).reshape(fx.shape)
+        iy = np.array([int(v) for v in fy.ravel()], dtype=object).reshape(fy.shape)
+    return ix, iy, ix * _key_base(ix) + iy
+
+
+def _key_base(a: np.ndarray) -> int:
+    return _WIDE_KEY_BASE if a.dtype == object else _KEY_BASE
 
 
 # ---------------------------------------------------------------------------
@@ -41,25 +69,73 @@ class ShiftedGrids:
                 int(math.floor((y - oy) / self.ell)))
 
 
+class ShiftedGridIndex:
+    """Sites bucketed into the four shifted grids of side ell at once.
+
+    Row g of ``keys`` holds grid g's packed cell keys in sorted order and
+    row g of ``order`` the site ids in that order (a stable sort, so ids
+    ascend within a cell); ``site_keys`` holds them unsorted.  Runs of equal
+    keys are the occupied cells of all four grids, numbered grid by grid in
+    key order: run r is ``order.ravel()[run_start[r]:run_start[r] +
+    run_size[r]]`` in grid ``run_grid[r]``."""
+
+    def __init__(self, xs: np.ndarray, ys: np.ndarray, ell: float):
+        off = np.array(ShiftedGrids(ell).offsets)
+        self.site_keys = _cell_keys(xs, ys, ell, off[:, :1], off[:, 1:])[2]
+        self.order = np.argsort(self.site_keys, axis=1, kind="stable")
+        self.keys = self.site_keys[_GRID_ROWS, self.order]
+        n = len(xs)
+        flat = self.keys.ravel()
+        new = np.empty(len(flat) + 1, dtype=bool)
+        np.not_equal(flat[1:], flat[:-1], out=new[1:-1])
+        new[::max(n, 1)] = True
+        bounds = np.flatnonzero(new)
+        self.run_start = bounds[:-1]
+        self.run_size = bounds[1:] - self.run_start
+        self.run_grid = self.run_start // max(n, 1)
+
+    def blocks(self, grid: np.ndarray, anchor_keys: np.ndarray,
+               radius_cells: int) -> tuple[np.ndarray, np.ndarray]:
+        """Sites of the (2k+1)^2 cell block around each anchor cell, given
+        by its grid (non-decreasing) and packed key: (anchor index, site id)
+        pairs, grouped by ascending anchor."""
+        cut = np.searchsorted(grid, np.arange(5)).tolist()
+        owners, sites = [], []
+        for g in range(4):
+            a0, a1 = cut[g], cut[g + 1]
+            if a0 < a1:
+                owner, pos = _block_ranges(self.keys[g], anchor_keys[a0:a1], radius_cells)
+                owners.append(a0 + owner)
+                sites.append(self.order[g][pos])
+        if not owners:
+            return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+        return np.concatenate(owners), np.concatenate(sites)
+
+
+def _block_ranges(sorted_keys: np.ndarray, anchor_keys: np.ndarray,
+                  radius_cells: int) -> tuple[np.ndarray, np.ndarray]:
+    """(anchor index, position in `sorted_keys`) of every key in the
+    (2k+1)^2 block around each anchor key, anchor by anchor: the block is
+    2k+1 ranges of consecutive keys, found by one pair of ``searchsorted``
+    calls for all anchors."""
+    k = radius_cells
+    dk = _row_offsets(k, _key_base(sorted_keys)) - k
+    lo = (anchor_keys[:, None] + dk[None, :]).ravel()
+    rows, pos = ranges_concat(np.searchsorted(sorted_keys, lo, side="left"),
+                              np.searchsorted(sorted_keys, lo + 2 * k, side="right"))
+    return rows // (2 * k + 1), pos
+
+
 class GridIndex:
     """Sites bucketed into one grid; supports batched neighbor-cell lookups.
 
-    Cell keys are packed as ix * 2^32 + iy (falling back to Python ints when
-    the indices would overflow the packing range, e.g. for very small W)."""
+    Cell keys are packed as ix * 2^32 + iy, or as Python ints when the
+    indices would overflow the packing range, e.g. for very small W."""
 
     def __init__(self, S: SiteSet, ell: float, ox: float, oy: float):
         self.S = S
         self.ell = ell
-        fx = np.floor((S.xs - ox) / ell)
-        fy = np.floor((S.ys - oy) / ell)
-        if max(np.abs(fx).max(initial=0), np.abs(fy).max(initial=0)) < _KEY_GUARD:
-            self.ix = fx.astype(np.int64)
-            self.iy = fy.astype(np.int64)
-            key = self.ix * _KEY_BASE + self.iy
-        else:
-            self.ix = np.array([int(v) for v in fx], dtype=object)
-            self.iy = np.array([int(v) for v in fy], dtype=object)
-            key = self.ix * _KEY_BASE + self.iy
+        self.ix, self.iy, key = _cell_keys(S.xs, S.ys, ell, ox, oy)
         self.order = np.argsort(key, kind="stable")
         skey = key[self.order]
         if len(skey):
@@ -87,7 +163,7 @@ class GridIndex:
             return out
         offs = range(-radius_cells, radius_cells + 1)
         for dx in offs:
-            base = self.run_keys + dx * _KEY_BASE
+            base = self.run_keys + dx * _key_base(self.run_keys)
             for dy in offs:
                 pos = np.searchsorted(self.run_keys, base + dy)
                 posc = np.minimum(pos, R - 1)
@@ -112,11 +188,9 @@ class GridIndex:
 
     def neighbor_keys(self, sites: np.ndarray, radius_cells: int) -> np.ndarray:
         """(m, (2k+1)^2) packed keys of the cell blocks around given sites."""
-        dk = _block_offsets(radius_cells)
-        if self.ix.dtype == object:
-            dk = dk.astype(object)
-        base = self.ix[sites] * _KEY_BASE + self.iy[sites]
-        return base[:, None] + dk[None, :]
+        kb = _key_base(self.ix)
+        base = self.ix[sites] * kb + self.iy[sites]
+        return base[:, None] + _block_offsets(radius_cells, kb)[None, :]
 
     def sites_of_runs(self, run_idx) -> np.ndarray:
         """Sites of the given runs, run by run in the given order; -1 skipped.
@@ -136,10 +210,21 @@ class GridIndex:
 
 
 @functools.lru_cache(maxsize=None)
-def _block_offsets(radius_cells: int) -> np.ndarray:
+def _row_offsets(radius_cells: int, key_base: int) -> np.ndarray:
+    """Packed key offsets dx * key_base, dx = -k..k (read-only)."""
+    r = range(-radius_cells, radius_cells + 1)
+    dk = np.array([dx * key_base for dx in r],
+                  dtype=np.int64 if key_base == _KEY_BASE else object)
+    dk.flags.writeable = False
+    return dk
+
+
+@functools.lru_cache(maxsize=None)
+def _block_offsets(radius_cells: int, key_base: int) -> np.ndarray:
     """Packed key offsets of the (2k+1)^2 block, dx-major (read-only)."""
-    offs = np.arange(-radius_cells, radius_cells + 1, dtype=np.int64)
-    dk = (offs[:, None] * _KEY_BASE + offs[None, :]).ravel()
+    r = range(-radius_cells, radius_cells + 1)
+    dk = np.array([dx * key_base + dy for dx in r for dy in r],
+                  dtype=np.int64 if key_base == _KEY_BASE else object)
     dk.flags.writeable = False
     return dk
 
@@ -160,39 +245,21 @@ def ranges_concat(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarra
 def close_pairs(xs: np.ndarray, ys: np.ndarray, ids: np.ndarray,
                 radius: float) -> tuple[np.ndarray, np.ndarray]:
     """Ordered pairs (a, b), a != b, of the given sites within `radius`
-    (Euclidean), via a 3x3 offset join on a radius-sized grid."""
+    (Euclidean), via one join on a grid of side `radius`: the 3x3 cells
+    around each site are three ranges of the sorted keys, so all 3m ranges
+    take one pair of ``searchsorted`` calls and one ``ranges_concat``."""
     m = len(ids)
     if m < 2:
         return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
     px, py = xs[ids], ys[ids]
-    kx = np.floor(px / radius)
-    ky = np.floor(py / radius)
-    if max(np.abs(kx).max(), np.abs(ky).max()) >= _KEY_GUARD:
-        key = np.array([int(a) * _KEY_BASE + int(b) for a, b in
-                        zip(kx.tolist(), ky.tolist())], dtype=object)
-    else:
-        key = kx.astype(np.int64) * _KEY_BASE + ky.astype(np.int64)
+    key = _cell_keys(px, py, radius, 0.0, 0.0)[2]
     order = np.argsort(key, kind="stable")
     ks = key[order]
-    out_a: list = []
-    out_b: list = []
-    for dx in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            tgt = ks + (dx * _KEY_BASE + dy)
-            lo = np.searchsorted(ks, tgt, side="left")
-            hi = np.searchsorted(ks, tgt, side="right")
-            rows, idx = ranges_concat(lo, hi)
-            if not len(rows):
-                continue
-            a = order[rows]
-            b = order[idx]
-            keep = a != b
-            a, b = a[keep], b[keep]
-            if len(a):
-                d2 = (px[a] - px[b]) ** 2 + (py[a] - py[b]) ** 2
-                keep2 = d2 <= radius * radius
-                out_a.append(a[keep2])
-                out_b.append(b[keep2])
-    if not out_a:
-        return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-    return ids[np.concatenate(out_a)], ids[np.concatenate(out_b)]
+    owner, pos = _block_ranges(ks, ks, 1)
+    a = order[owner]
+    b = order[pos]
+    keep = a != b
+    a, b = a[keep], b[keep]
+    d2 = (px[a] - px[b]) ** 2 + (py[a] - py[b]) ** 2
+    keep = d2 <= radius * radius
+    return ids[a[keep]], ids[b[keep]]

@@ -196,6 +196,15 @@ def disk_edge(a: Site, b: Site) -> bool:
     return dx * dx + dy * dy <= rr * rr
 
 
+def disk_edges(S: "SiteSet", a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``disk_edge`` elementwise over id arrays: the same float64 operations
+    in the same order, hence the same answers."""
+    dx = S.xs[a] - S.xs[b]
+    dy = S.ys[a] - S.ys[b]
+    rr = S.rs[a] + S.rs[b]
+    return dx * dx + dy * dy <= rr * rr
+
+
 def tx_edge(a: Site, b: Site) -> bool:
     """True iff b lies in the disk of a (directed edge a -> b)."""
     dx = a.x - b.x
