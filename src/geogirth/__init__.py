@@ -13,22 +13,20 @@ from .graphs import (Cycle, DirectedGraph, Triangle, UndirectedGraph,
                      brute_min_weight_cycle, brute_shortest_directed_triangle,
                      brute_shortest_triangle, brute_triangle,
                      build_disk_graph_brute, build_tx_graph_brute)
-from .radius_tree import RadiusTree, canonical_nodes, descend_quadtrees
+from .radius_tree import RadiusTree
 from .range_search import (ALPHA, CrowdedSquare, QueryTripleR2, R1Outcome,
                            build_query_hulls, solve_R1, solve_R2,
                            upper_envelope_faces)
-from .sites import (InstanceError, InvariantViolation, LiftedHalfspace,
-                    LiftedPoint, Site, SiteSet, ToleranceConfig,
+from .sites import (GeogirthError, InstanceError, InvariantViolation,
+                    LiftedHalfspace, LiftedPoint, Site, SiteSet,
                     circle_circle_points, disk_edge, dist, lift_point,
                     lift_site, lifted_violates, read_instance,
                     triangle_perimeter, tx_edge, write_instance)
-from .sweep import (SweepOutcome, arc_intersections_bounded,
-                    build_plane_or_witness, containment_edges,
+from .sweep import (SweepOutcome, build_plane_or_witness,
                     find_segment_crossing, triangle_from_crossing)
 from .tx import (TxDecisionContext, decide_tx_perimeter, find_directed_triangle,
                  shortest_triangle_tx)
 from .zorder import (CompressedQuadtree, GridCell, build_compressed_quadtree,
-                     cell_sites, linearize, neighborhood, z_compare,
-                     z_predecessor)
+                     neighborhood, z_predecessor)
 
 __version__ = "0.1.0"

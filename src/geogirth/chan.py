@@ -14,20 +14,19 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Callable, Optional, Protocol, runtime_checkable
+from typing import Callable, Optional, Protocol
 
 from .graphs import Triangle, better_triangle
-from .sites import SiteSet, triangle_perimeter
+from .sites import InvariantViolation, SiteSet, triangle_perimeter
 
 # instances of at most N0 sites are solved by brute force
 N0 = 16
 
 
-class ChanInconsistencyError(RuntimeError):
+class ChanInconsistencyError(InvariantViolation):
     """decide() and split()/base_solve() disagree about the optimum."""
 
 
-@runtime_checkable
 class OptProblem(Protocol):
     def size(self) -> int: ...
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sites import Site, SiteSet
+from .sites import SiteSet
 
 
 @dataclass(frozen=True)
@@ -80,5 +80,4 @@ def generate(spec: GeneratorSpec) -> SiteSet:
         xs[dup] = rng.random(k)
         ys[dup] = rng.random(k)
 
-    sites = [Site(i, float(xs[i]), float(ys[i]), float(rs[i])) for i in range(n)]
-    return SiteSet(sites)
+    return SiteSet.from_arrays(xs, ys, rs)

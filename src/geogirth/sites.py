@@ -1,20 +1,19 @@
 """Sites, disks, geometric predicates and the paraboloid lifting map.
 
-Everything downstream works on a ``SiteSet``: a list of sites (center plus
-positive radius) with dense ids 0..n-1.  All decisive predicates are sign
-tests on polynomials of the inputs evaluated in float64; the test suite
-cross-checks them against exact rational arithmetic.
+Everything downstream works on a ``SiteSet``: n sites (center plus
+positive radius) held as three float64 arrays, where site i, with id i, is
+index i of each.  All decisive predicates are sign tests on polynomials of
+the inputs evaluated in float64; the test suite cross-checks them against
+exact rational arithmetic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-
-SQRT2 = math.sqrt(2.0)
 
 
 class Site(NamedTuple):
@@ -40,36 +39,15 @@ class LiftedPoint(NamedTuple):
     z: float
 
 
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """Comparison policy for the floating path.
-
-    eps_dist is the relative tolerance used when comparing distances or
-    cycle lengths against an oracle; predicates themselves are exact sign
-    evaluations when eps_dist == 0.  Ties are always broken by smaller id.
-    """
-
-    eps_dist: float = 0.0
-
-    def __post_init__(self):
-        if self.eps_dist < 0:
-            raise ValueError("eps_dist must be >= 0")
-
-    def close(self, a: float, b: float) -> bool:
-        if a == b:
-            return True
-        scale = max(abs(a), abs(b), 1e-300)
-        return abs(a - b) <= max(self.eps_dist, 1e-9) * scale
+class GeogirthError(Exception):
+    """Base of every error the package raises itself."""
 
 
-DEFAULT_TOLERANCE = ToleranceConfig()
-
-
-class InstanceError(ValueError):
+class InstanceError(GeogirthError, ValueError):
     """Raised for malformed or degenerate instance input."""
 
 
-class InvariantViolation(AssertionError):
+class InvariantViolation(GeogirthError, AssertionError):
     """A structural constant guaranteed by the geometry failed at runtime."""
 
 
@@ -86,33 +64,68 @@ class Normalization:
 
 
 class SiteSet:
-    """An immutable collection of sites with vectorized coordinate access.
+    """An immutable set of n sites as float64 arrays ``xs``, ``ys`` (centers)
+    and ``rs`` (radii); site i is index i.
 
-    Site tuples are materialized lazily; hot paths index the coordinate
-    arrays directly.
+    The constructors check every site: finite center, positive finite
+    radius, no two equal centers.  ``Site`` tuples are built only when
+    ``sites`` or iteration asks for them; hot paths index the arrays.
     """
 
     __slots__ = ("xs", "ys", "rs", "normalization", "_sites")
 
-    def __init__(self, sites: Sequence[Site], normalization: Optional[Normalization] = None,
-                 validate: bool = True):
-        self._sites = tuple(sites)
-        self.xs = np.array([s.x for s in self._sites], dtype=np.float64)
-        self.ys = np.array([s.y for s in self._sites], dtype=np.float64)
-        self.rs = np.array([s.r for s in self._sites], dtype=np.float64)
-        self.normalization = normalization
-        if validate:
-            self._validate()
+    def __init__(self, sites: Sequence[Site]):
+        sites = tuple(sites)
+        a = np.array(sites, dtype=np.float64).reshape(-1, 4)
+        wrong = np.flatnonzero(a[:, 0] != np.arange(len(a)))
+        if wrong.size:
+            i = int(wrong[0])
+            raise InstanceError(
+                f"site ids must be the contiguous range 0..n-1 (got {sites[i].id} at {i})")
+        self._set(a[:, 1], a[:, 2], a[:, 3], None)
+        self._check()
+
+    @classmethod
+    def from_arrays(cls, xs, ys, rs) -> "SiteSet":
+        """Site i is (xs[i], ys[i], rs[i]); checked like ``SiteSet(sites)``."""
+        S = cls._from_arrays(xs, ys, rs)
+        S._check()
+        return S
 
     @classmethod
     def _from_arrays(cls, xs, ys, rs, normalization=None) -> "SiteSet":
+        """Unchecked: for sets derived from a checked one."""
         obj = cls.__new__(cls)
-        obj.xs = np.ascontiguousarray(xs, dtype=np.float64)
-        obj.ys = np.ascontiguousarray(ys, dtype=np.float64)
-        obj.rs = np.ascontiguousarray(rs, dtype=np.float64)
-        obj.normalization = normalization
-        obj._sites = None
+        obj._set(xs, ys, rs, normalization)
         return obj
+
+    def _set(self, xs, ys, rs, normalization) -> None:
+        self.xs = np.ascontiguousarray(xs, dtype=np.float64)
+        self.ys = np.ascontiguousarray(ys, dtype=np.float64)
+        self.rs = np.ascontiguousarray(rs, dtype=np.float64)
+        self.normalization = normalization
+        self._sites = None
+
+    def _check(self) -> None:
+        """Raise InstanceError naming the first site whose radius or center
+        is invalid, or two sites with the same center."""
+        xs, ys, rs = self.xs, self.ys, self.rs
+        bad_r = ~((rs > 0) & np.isfinite(rs))
+        bad = bad_r | ~(np.isfinite(xs) & np.isfinite(ys))
+        if bad.any():
+            i = int(np.argmax(bad))
+            if bad_r[i]:
+                raise InstanceError(
+                    f"site {i}: radius must be positive and finite (got {float(rs[i])!r})")
+            raise InstanceError(f"site {i}: non-finite coordinates")
+        if len(xs) > 1:
+            order = np.lexsort((ys, xs))
+            sx, sy = xs[order], ys[order]
+            dup = (sx[1:] == sx[:-1]) & (sy[1:] == sy[:-1])
+            if dup.any():
+                k = int(np.argmax(dup))
+                raise InstanceError(
+                    f"coincident sites {order[k]} and {order[k + 1]} violate general position")
 
     @property
     def sites(self) -> tuple:
@@ -120,23 +133,6 @@ class SiteSet:
             self._sites = tuple(Site(i, x, y, r) for i, (x, y, r) in enumerate(
                 zip(self.xs.tolist(), self.ys.tolist(), self.rs.tolist())))
         return self._sites
-
-    def _validate(self):
-        for i, s in enumerate(self._sites):
-            if s.id != i:
-                raise InstanceError(f"site ids must be the contiguous range 0..n-1 (got {s.id} at {i})")
-            if not (s.r > 0) or not math.isfinite(s.r):
-                raise InstanceError(f"site {i}: radius must be positive and finite (got {s.r!r})")
-            if not (math.isfinite(s.x) and math.isfinite(s.y)):
-                raise InstanceError(f"site {i}: non-finite coordinates")
-        if len(self._sites) > 1:
-            order = np.lexsort((self.ys, self.xs))
-            sx, sy = self.xs[order], self.ys[order]
-            dup = (sx[1:] == sx[:-1]) & (sy[1:] == sy[:-1])
-            if dup.any():
-                k = int(np.argmax(dup))
-                raise InstanceError(
-                    f"coincident sites {order[k]} and {order[k + 1]} violate general position")
 
     def __len__(self) -> int:
         return len(self.xs)
@@ -210,16 +206,6 @@ def tx_edge(a: Site, b: Site) -> bool:
     dx = a.x - b.x
     dy = a.y - b.y
     return dx * dx + dy * dy <= a.r * a.r
-
-
-def contains_disk(a: Site, b: Site) -> bool:
-    """True iff D_b is contained in D_a (no boundary crossing)."""
-    dx = a.x - b.x
-    dy = a.y - b.y
-    dr = a.r - b.r
-    if dr < 0:
-        return False
-    return dx * dx + dy * dy <= dr * dr
 
 
 def triangle_perimeter(s: Site, t: Site, u: Site) -> float:
@@ -324,11 +310,13 @@ def lifted_violates(p: LiftedPoint, h: LiftedHalfspace) -> bool:
 def write_instance(path, siteset: SiteSet) -> None:
     with open(path, "w", encoding="utf-8") as f:
         f.write(f"{len(siteset)}\n")
-        for s in siteset:
-            f.write(f"{s.x:.17g} {s.y:.17g} {s.r:.17g}\n")
+        for x, y, r in zip(siteset.xs.tolist(), siteset.ys.tolist(), siteset.rs.tolist()):
+            f.write(f"{x:.17g} {y:.17g} {r:.17g}\n")
 
 
 def read_instance(path) -> SiteSet:
+    """Parse errors name the line; invalid sites are refused by the
+    ``SiteSet`` check, which names site i (line i + 2)."""
     with open(path, "r", encoding="utf-8") as f:
         lines = f.read().splitlines()
     if not lines:
@@ -341,16 +329,14 @@ def read_instance(path) -> SiteSet:
         raise InstanceError(f"{path}:1: negative site count")
     if len(lines) < n + 1:
         raise InstanceError(f"{path}: expected {n} site lines, found {len(lines) - 1}")
-    sites = []
+    rows = []
     for i in range(n):
         parts = lines[i + 1].split()
         if len(parts) != 3:
             raise InstanceError(f"{path}:{i + 2}: expected 'x y r', got {lines[i + 1]!r}")
         try:
-            x, y, r = (float(p) for p in parts)
+            rows.append([float(p) for p in parts])
         except ValueError:
             raise InstanceError(f"{path}:{i + 2}: non-numeric field in {lines[i + 1]!r}") from None
-        if not r > 0:
-            raise InstanceError(f"{path}:{i + 2}: radius must be positive (got {r!r})")
-        sites.append(Site(i, x, y, r))
-    return SiteSet(sites)
+    a = np.array(rows, dtype=np.float64).reshape(n, 3)
+    return SiteSet.from_arrays(a[:, 0], a[:, 1], a[:, 2])

@@ -4,10 +4,10 @@ Three cooperating pieces:
 
 * an arc sweep (Bentley-Ottmann over the 2n x-monotone boundary arcs) that
   reports boundary-boundary intersections in x-order with an early abort,
-  and optionally tracks, for every arc in the status, the set of disks
-  covering the face directly above it.  The face sets turn containment
-  edges (one disk swallowing another, no boundary crossing) into O(1)
-  lookups at circle-insertion events.
+  and tracks, for every arc in the status, the set of disks covering the
+  face directly above it.  The face sets turn containment edges (one disk
+  swallowing another, no boundary crossing) into O(1) lookups at
+  circle-insertion events.
 * a Shamos-Hoey style sweep over straight segments that finds one proper
   crossing between independent edges, or certifies there is none.
 * the constructive extraction of a triangle from two crossing edges.
@@ -24,16 +24,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .graphs import Triangle, UndirectedGraph
-from .sites import (Site, SiteSet, circle_circle_points, contains_disk,
+from .sites import (InvariantViolation, Site, SiteSet, circle_circle_points,
                     disk_edge, dist, triangle_perimeter)
 
 INSERT, CROSS, REMOVE = 0, 1, 2
 
 _EMPTY = frozenset()
-
-
-class SweepInternalError(RuntimeError):
-    """A structural guarantee of the sweep failed; indicates a predicate bug."""
 
 
 @dataclass
@@ -42,7 +38,6 @@ class ArcSweepState:
 
     intersections: list          # (x, y, i, j) in report order
     inter_exceeded: bool
-    overlap_pairs: list          # (t, s): leftmost point of D_t lies in D_s
     edge_pairs: set              # all discovered edges as (min, max) pairs
     edge_exceeded: bool
 
@@ -55,8 +50,7 @@ class _ArcSweep:
     """
 
     def __init__(self, S: SiteSet, inter_limit: Optional[int] = None,
-                 edge_limit: Optional[int] = None, track_faces: bool = False):
-        self.S = S
+                 edge_limit: Optional[int] = None):
         # plain Python floats: scalar math on numpy elements is several
         # times slower in the event loop
         self.cx = S.xs.tolist()
@@ -65,14 +59,13 @@ class _ArcSweep:
         self.cr2 = [r * r for r in self.cr]
         self.inter_limit = inter_limit
         self.edge_limit = edge_limit
-        self.track_faces = track_faces
         self.status: list[int] = []
         self.faces: dict[int, frozenset] = {}
         self.alive = [False] * len(S)
         # per circle pair, the boundary crossings not yet scheduled as
         # (x, y, index in circle_circle_points order)
         self._pending: dict[tuple[int, int], list] = {}
-        self.state = ArcSweepState([], False, [], set(), False)
+        self.state = ArcSweepState([], False, set(), False)
         self._events: list = []
         self._seq = 0
 
@@ -155,15 +148,17 @@ class _ArcSweep:
             # circle_circle_points' own disjoint-or-nested test, done on the
             # coordinate lists: most adjacent pairs never cross
             i, j = key
-            cx, cr = self.cx, self.cr
-            dx, dy = cx[j] - cx[i], self.cy[j] - self.cy[i]
+            cx, cy, cr = self.cx, self.cy, self.cr
+            dx, dy = cx[j] - cx[i], cy[j] - cy[i]
             d2 = dx * dx + dy * dy
             sum_r, dif_r = cr[i] + cr[j], cr[i] - cr[j]
             if d2 > sum_r * sum_r or d2 < dif_r * dif_r:
                 pending = []
             else:
+                # Sites from the lists: S[i] converts three numpy scalars
                 pending = [(px, py, pidx) for pidx, (px, py) in enumerate(
-                    circle_circle_points(self.S[i], self.S[j]))]
+                    circle_circle_points(Site(i, cx[i], cy[i], cr[i]),
+                                         Site(j, cx[j], cy[j], cr[j])))]
             self._pending[key] = pending
         if not pending:
             return
@@ -222,15 +217,12 @@ class _ArcSweep:
         while hi < len(st) and self._y(st[hi], x) == y:
             hi += 1
         lower, upper = t << 1, (t << 1) | 1
-        if self.track_faces:
-            face_p = self.faces[st[lo - 1]] if lo > 0 else _EMPTY
-            for s_id in face_p:
-                self.state.overlap_pairs.append((t, s_id))
-            self.faces[lower] = face_p | {t}
-            self.faces[upper] = face_p
-            for s_id in face_p:
-                if not self._add_edge(t, s_id):
-                    return False
+        face_p = self.faces[st[lo - 1]] if lo > 0 else _EMPTY
+        self.faces[lower] = face_p | {t}
+        self.faces[upper] = face_p
+        for s_id in face_p:
+            if not self._add_edge(t, s_id):
+                return False
         st.insert(hi, upper)
         st.insert(lo, lower)
         self.alive[t] = True
@@ -258,14 +250,13 @@ class _ArcSweep:
         else:
             pb = self._find_arc(upper, x, y)
         if pa < 0 or pb < 0:
-            raise SweepInternalError(f"arc of circle {t} missing at removal")
+            raise InvariantViolation(f"arc of circle {t} missing at removal")
         st = self.status
         for p in sorted((pa, pb), reverse=True):
             st.pop(p)
         self.alive[t] = False
-        if self.track_faces:
-            self.faces.pop(lower, None)
-            self.faces.pop(upper, None)
+        self.faces.pop(lower, None)
+        self.faces.pop(upper, None)
         p = min(pa, pb)
         if 0 < p <= len(st) - 1:
             self._schedule_pair(st[p - 1], st[p], x)
@@ -301,17 +292,16 @@ class _ArcSweep:
         st = self.status
         i0, i1 = (ia, ib) if ia < ib else (ib, ia)
         arc_x, arc_y = st[i0], st[i1]
-        if self.track_faces:
-            top = self.faces[arc_y]
-            if arc_x & 1:
-                right_face = top | {arc_x >> 1}
-            elif not (arc_y & 1):
-                below = self.faces[st[i0 - 1]] if i0 > 0 else _EMPTY
-                right_face = below | {arc_y >> 1}
-            else:
-                right_face = top - {arc_x >> 1}
-            self.faces[arc_y] = right_face
-            self.faces[arc_x] = top
+        top = self.faces[arc_y]
+        if arc_x & 1:
+            right_face = top | {arc_x >> 1}
+        elif not (arc_y & 1):
+            below = self.faces[st[i0 - 1]] if i0 > 0 else _EMPTY
+            right_face = below | {arc_y >> 1}
+        else:
+            right_face = top - {arc_x >> 1}
+        self.faces[arc_y] = right_face
+        self.faces[arc_x] = top
         if i1 == i0 + 1:
             st[i0], st[i1] = arc_y, arc_x
             # only the two outer adjacencies are new after the swap
@@ -360,43 +350,6 @@ class _ArcSweep:
                 else:
                     self._remove_circle(ev[4], ev[0])
         return self.state
-
-
-# ---------------------------------------------------------------------------
-# public arc-sweep operations
-
-
-@dataclass(frozen=True)
-class ArcIntersections:
-    points: tuple                # (x, y, i, j) in x-order
-    exceeded: bool
-
-
-def arc_intersections_bounded(S: SiteSet, limit: int) -> ArcIntersections:
-    """Report boundary-boundary intersections in x-order; abort after
-    limit + 1 reports."""
-    if limit < 0:
-        raise ValueError("limit must be >= 0")
-    st = _ArcSweep(S, inter_limit=limit).run()
-    return ArcIntersections(tuple(st.intersections), st.inter_exceeded)
-
-
-def containment_edges(S: SiteSet, limit: Optional[int] = None):
-    """All edges st where one disk contains the other, each reported once.
-
-    Runs a face-tracking sweep; at every circle insertion the disks covering
-    the insertion point are read off the face of the arc below.  With a
-    limit, returns early (with exceeded=True) once more than limit edges of
-    any kind have been discovered.
-    """
-    st = _ArcSweep(S, edge_limit=limit, track_faces=True).run()
-    out = set()
-    for t, s in st.overlap_pairs:
-        if contains_disk(S[s], S[t]):
-            out.add((s, t))
-        elif contains_disk(S[t], S[s]):
-            out.add((t, s))
-    return sorted(out), st.edge_exceeded
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +428,7 @@ class _SegSweep:
                 try:
                     pos = st.index(idx)
                 except ValueError:
-                    raise SweepInternalError("segment missing at removal")
+                    raise InvariantViolation("segment missing at removal")
                 st.pop(pos)
                 if 0 < pos < len(st):
                     hit = self._check(st[pos - 1], st[pos])
@@ -556,12 +509,11 @@ class SweepOutcome:
 
     plane: bool
     graph: Optional[UndirectedGraph] = None
-    embedding: Optional[tuple] = None      # edge list as (u, v) pairs
     witness: Optional[Triangle] = None
 
     @staticmethod
-    def of_plane(graph: UndirectedGraph, embedding) -> "SweepOutcome":
-        return SweepOutcome(True, graph=graph, embedding=tuple(embedding))
+    def of_plane(graph: UndirectedGraph) -> "SweepOutcome":
+        return SweepOutcome(True, graph=graph)
 
     @staticmethod
     def of_witness(tri: Triangle) -> "SweepOutcome":
@@ -571,15 +523,17 @@ class SweepOutcome:
 def _graph_from_pairs(S: SiteSet, pairs) -> tuple[UndirectedGraph, list]:
     g = UndirectedGraph(len(S))
     edges = sorted(pairs)
+    xs, ys = S.xs.tolist(), S.ys.tolist()
     for u, v in edges:
-        g.add_edge(u, v, dist(S[u], S[v]))
+        # dist() on the coordinate lists
+        g.add_edge(u, v, math.hypot(xs[u] - xs[v], ys[u] - ys[v]))
     return g, edges
 
 
 def _witness_from_edges(S: SiteSet, pairs) -> Triangle:
     hit = find_segment_crossing(S, sorted(pairs))
     if hit is None:
-        raise SweepInternalError(
+        raise InvariantViolation(
             "edge budget exceeded but no segment crossing found")
     a, b, c, d = hit
     return triangle_from_crossing(S[a], S[b], S[c], S[d])
@@ -589,18 +543,18 @@ def build_plane_or_witness(S: SiteSet) -> SweepOutcome:
     """Full pipeline: bounded arc sweep, containment edges, edge-count
     cutoff, then a crossing check of the straight-line embedding.
 
-    Returns Plane(graph) with an explicit embedding, or NotPlane(triangle).
+    Returns Plane(graph), whose straight-line drawing on the centers has no
+    crossing, or NotPlane(triangle).
     """
     n = len(S)
     if n <= 3:
         from .graphs import build_disk_graph_brute
         g = build_disk_graph_brute(S)
-        return SweepOutcome.of_plane(g, [(u, v) for u, v, _ in g.edges()])
+        return SweepOutcome.of_plane(g)
 
     inter_limit = max(0, 6 * n - 12)
     edge_limit = max(0, 3 * n - 6)
-    st = _ArcSweep(S, inter_limit=inter_limit, edge_limit=edge_limit,
-                   track_faces=True).run()
+    st = _ArcSweep(S, inter_limit=inter_limit, edge_limit=edge_limit).run()
     if st.inter_exceeded or st.edge_exceeded:
         return SweepOutcome.of_witness(_witness_from_edges(S, st.edge_pairs))
 
@@ -610,4 +564,4 @@ def build_plane_or_witness(S: SiteSet) -> SweepOutcome:
         a, b, c, d = hit
         return SweepOutcome.of_witness(
             triangle_from_crossing(S[a], S[b], S[c], S[d]))
-    return SweepOutcome.of_plane(g, edges)
+    return SweepOutcome.of_plane(g)

@@ -40,16 +40,6 @@ class GridCell(NamedTuple):
         s = self.side()
         return (self.ix * s, self.iy * s, (self.ix + 1) * s, (self.iy + 1) * s)
 
-    def contains_cell(self, other: "GridCell") -> bool:
-        d = other.level - self.level
-        if d < 0:
-            return False
-        return (other.ix >> d) == self.ix and (other.iy >> d) == self.iy
-
-    def contains_point(self, x: float, y: float) -> bool:
-        x0, y0, x1, y1 = self.bounds()
-        return x0 <= x < x1 and y0 <= y < y1
-
 
 ROOT = GridCell(0, 0, 0)
 
@@ -194,32 +184,6 @@ class ZKeys:
         return np.array(out, dtype=object)
 
 
-_ZKEYS_CACHE: dict = {}
-
-
-def _zkeys_for(depth: int) -> ZKeys:
-    zk = _ZKEYS_CACHE.get(depth)
-    if zk is None:
-        zk = _ZKEYS_CACHE[depth] = ZKeys(depth)
-    return zk
-
-
-def z_compare(a: GridCell, b: GridCell, depth: Optional[int] = None) -> int:
-    """-1, 0, +1 for a before/equal/after b in Z-order."""
-    if depth is None:
-        depth = max(a.level, b.level, 1)
-    ma = _morton_py(a.ix, a.iy, a.level)
-    mb = _morton_py(b.ix, b.iy, b.level)
-    pa, pb = 2 * (depth - a.level), 2 * (depth - b.level)
-    k3a = ((ma << pa) | ((1 << pa) - 1), -a.level)
-    k3b = ((mb << pb) | ((1 << pb) - 1), -b.level)
-    return -1 if k3a < k3b else (1 if k3a > k3b else 0)
-
-
-def z_sort_key(cell: GridCell, depth: int):
-    return _zkeys_for(depth).cell_key(cell)[2]
-
-
 # ---------------------------------------------------------------------------
 # compressed quadtree
 
@@ -267,17 +231,6 @@ class CompressedQuadtree:
     def sites_in_node(self, i: int) -> np.ndarray:
         return self.zorder_sites[int(self.site_lo[i]):int(self.site_hi[i])]
 
-    def parent_of(self, i: int) -> int:
-        """Index of the parent node (-1 for the root); scans upward."""
-        for j in range(i + 1, len(self)):
-            if self.k0[j] <= self.k0[i] and self.k3[j] >= self.k3[i]:
-                return j
-        return -1
-
-    def structure(self) -> list[tuple[int, int, int]]:
-        """Cells as sorted (level, ix, iy) tuples, for structural equality."""
-        return sorted(tuple(self.cell(i)) for i in range(len(self)))
-
 
 def _lca_levels(codes: np.ndarray, depth: int, int64: bool) -> np.ndarray:
     """Level of the lowest common ancestor cell of adjacent code pairs."""
@@ -322,12 +275,6 @@ def build_compressed_quadtree_from_codes(zkeys: ZKeys, site_ids: np.ndarray,
     ckey_u, idx = np.unique(ckey, return_index=True)
     return CompressedQuadtree(zkeys, site_ids, codes,
                               levels[idx], k0[idx], k3[idx], ckey_u)
-
-
-def linearize(tree: CompressedQuadtree) -> list[GridCell]:
-    """The linearized quadtree: cells in increasing Z-order (nodes are
-    already stored that way; this materializes the cell list)."""
-    return tree.cells()
 
 
 def choose_depth(xs: np.ndarray, ys: np.ndarray, min_radius: float = 1.0) -> int:
@@ -401,15 +348,6 @@ def z_predecessor(tree: CompressedQuadtree, cell: GridCell) -> Optional[GridCell
     if idx < 0:
         return None
     return tree.cell(idx)
-
-
-def cell_sites(tree: CompressedQuadtree, cell: GridCell) -> np.ndarray:
-    """Site ids inside the query cell, via the predecessor contract."""
-    k0q, k3q, ckq = tree.zkeys.cell_key(cell)
-    idx, kind = _locate(tree, k0q, k3q, ckq)
-    if kind != 2:
-        return np.empty(0, dtype=np.int64)
-    return tree.sites_in_node(idx)
 
 
 def neighborhood(x: float, y: float, r: float, depth: int) -> list[GridCell]:

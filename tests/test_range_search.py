@@ -7,16 +7,22 @@ import numpy as np
 
 from geogirth.generator import GeneratorSpec, generate
 from geogirth.grids import GridIndex
-from geogirth.radius_tree import RadiusTree, canonical_nodes, descend_quadtrees
+from geogirth.radius_tree import RadiusTree
 from geogirth.range_search import (ALPHA, CrowdedSquare, QueryTripleR2,
                                    build_query_hulls, lifted_planes, solve_R1,
                                    solve_R2, upper_envelope_faces)
 from geogirth.sites import Site, SiteSet
-from geogirth.zorder import INT64_MAX_DEPTH, build_compressed_quadtree, choose_depth
+from geogirth.zorder import INT64_MAX_DEPTH, choose_depth
 
 
 def S(*triples):
     return SiteSet([Site(i, x, y, r) for i, (x, y, r) in enumerate(triples)])
+
+
+def canonical_nodes(B, r1, r2):
+    """Canonical nodes partitioning {s : r1 <= r_s < r2} (r2=None: no cap)."""
+    i2 = len(B.S) if r2 is None else B.index_of_radius(r2)
+    return B.canonical_nodes_for_positions(B.index_of_radius(r1), i2)
 
 
 # ---------------------------------------------------------------------------
@@ -40,7 +46,7 @@ def test_radius_tree_interval_total_size(make_sites):
         n = rng.randint(2, 200)
         ss = make_sites(n, seed=rng.randrange(10**6))
         B = RadiusTree(ss)
-        assert B.interval_sizes_total() <= 2 * n * math.ceil(math.log2(n))
+        assert int((B.hi - B.lo).sum()) <= 2 * n * math.ceil(math.log2(n))
         for v in range(len(B)):
             sites = B.node_sites(v)
             radii = ss.rs[sites]
@@ -102,38 +108,6 @@ def test_canonical_nodes_partition_property(make_sites):
             expected = [i for i in range(n)
                         if ss.rs[i] >= r1 and (r2 is None or ss.rs[i] < r2)]
             assert sorted(union) == expected
-
-
-def test_descend_quadtrees_matches_from_scratch(make_sites):
-    rng = random.Random(73)
-    ss = make_sites(200, seed=74).normalized()
-    B = RadiusTree(ss)
-    trees = descend_quadtrees(B)
-    zk_depth = trees[B.root].depth
-    for v in sorted(trees):
-        ids = B.node_sites(v)
-        sub_tree, _ = build_compressed_quadtree(
-            ss.xs[ids], ss.ys[ids], depth=zk_depth)
-        got = trees[v].structure()
-        # from-scratch cells carry local site numbering; structure is cells only
-        assert got == sub_tree.structure()
-    # leaves of each node's quadtree partition its canonical interval
-    for v in sorted(trees):
-        t = trees[v]
-        leaf_sites = sorted(int(t.leaf_site[i]) for i in range(len(t)) if t.is_leaf[i])
-        assert leaf_sites == sorted(B.node_sites(v).tolist())
-
-
-def test_descend_root_equals_full_build(make_sites):
-    ss = make_sites(60, seed=75).normalized()
-    B = RadiusTree(ss)
-    trees = descend_quadtrees(B)
-    full, _ = build_compressed_quadtree(ss.xs, ss.ys, depth=trees[B.root].depth)
-    assert trees[B.root].structure() == full.structure()
-    # leaf node of the radius tree: single-site quadtree
-    leaf_nodes = [v for v in range(len(B)) if B.left[v] < 0]
-    for v in leaf_nodes[:5]:
-        assert len(trees[v]) == 1
 
 
 # ---------------------------------------------------------------------------

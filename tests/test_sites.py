@@ -2,8 +2,10 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from geogirth.sites import (InstanceError, Site, SiteSet, circle_circle_points,
@@ -211,11 +213,55 @@ def test_triangle_perimeter_order_invariance():
     assert vals.pop() == pytest.approx(4.0)
 
 
-def test_tolerance_config():
-    from geogirth.sites import ToleranceConfig
-    t = ToleranceConfig()
-    assert t.eps_dist == 0.0
-    assert t.close(1.0, 1.0 + 1e-12)
-    assert not t.close(1.0, 1.001)
-    with pytest.raises(ValueError):
-        ToleranceConfig(eps_dist=-1e-9)
+# each case: sites as (x, y, r) rows, and the site ids the error must name
+NAN, INF = math.nan, math.inf
+INVALID_SITES = {
+    "nan x": ([(0, 0, 1), (NAN, 0, 1)], [1]),
+    "nan y": ([(0, 0, 1), (1, 0, 1), (2, NAN, 1)], [2]),
+    "+inf x": ([(INF, 0, 1), (1, 0, 1)], [0]),
+    "-inf y": ([(0, 0, 1), (1, -INF, 1)], [1]),
+    "zero radius": ([(0, 0, 1), (1, 0, 0.0)], [1]),
+    "negative radius": ([(0, 0, -1), (1, 0, 1)], [0]),
+    "nan radius": ([(0, 0, 1), (1, 0, 1), (2, 0, NAN)], [2]),
+    "inf radius": ([(0, 0, 1), (1, 0, INF)], [1]),
+    "coincident centres": ([(0, 0, 1), (3, 4, 1), (1, 1, 2), (3, 4, 5)], [1, 3]),
+}
+
+
+def _assert_names(err, ids):
+    msg = str(err.value)
+    assert [int(k) for k in re.findall(r"\d+", msg.split("(got")[0])] == ids, msg
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_SITES))
+def test_site_check_names_the_offending_sites(case, tmp_path):
+    rows, ids = INVALID_SITES[case]
+    with pytest.raises(InstanceError) as err:
+        SiteSet([Site(i, x, y, r) for i, (x, y, r) in enumerate(rows)])
+    _assert_names(err, ids)
+    xs, ys, rs = (np.array(c, dtype=np.float64) for c in zip(*rows))
+    with pytest.raises(InstanceError) as err:
+        SiteSet.from_arrays(xs, ys, rs)
+    _assert_names(err, ids)
+    p = tmp_path / "inst.txt"
+    p.write_text(f"{len(rows)}\n" + "".join(f"{x!r} {y!r} {r!r}\n" for x, y, r in rows))
+    with pytest.raises(InstanceError) as err:
+        read_instance(p)
+    _assert_names(err, ids)
+
+
+def test_site_ids_must_be_contiguous():
+    for ids, bad in (([1], 0), ([0, 2], 1), ([0, 1, 1], 2), ([1, 0], 0)):
+        with pytest.raises(InstanceError, match=f"at {bad}"):
+            SiteSet([Site(i, float(k), 0.0, 1.0) for k, i in enumerate(ids)])
+
+
+def test_from_arrays_equals_site_constructor():
+    rng = random.Random(8)
+    rows = [(rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(0.01, 2)) for _ in range(50)]
+    a = SiteSet([Site(i, *row) for i, row in enumerate(rows)])
+    b = SiteSet.from_arrays(*(np.array(c) for c in zip(*rows)))
+    for u in (a, b):
+        assert u.xs.dtype == u.ys.dtype == u.rs.dtype == np.float64
+    assert tuple(a) == tuple(b) == tuple(Site(i, *row) for i, row in enumerate(rows))
+    assert len(SiteSet([])) == len(SiteSet.from_arrays([], [], [])) == 0

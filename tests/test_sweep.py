@@ -5,24 +5,36 @@ import random
 import pytest
 
 from geogirth.graphs import build_disk_graph_brute
-from geogirth.sites import (Site, SiteSet, circle_circle_points, contains_disk,
-                            disk_edge)
-from geogirth.sweep import (arc_intersections_bounded, build_plane_or_witness,
-                            containment_edges, find_segment_crossing,
-                            proper_crossing, triangle_from_crossing)
+from geogirth.sites import Site, SiteSet, circle_circle_points, disk_edge
+from geogirth.sweep import (_ArcSweep, build_plane_or_witness,
+                            find_segment_crossing, proper_crossing,
+                            triangle_from_crossing)
 
 
 def S(*triples):
     return SiteSet([Site(i, x, y, r) for i, (x, y, r) in enumerate(triples)])
 
 
+def _nested(a, b):
+    """One of the two disks contains the other (no boundary crossing)."""
+    dx, dy, dr = a.x - b.x, a.y - b.y, abs(a.r - b.r)
+    return dx * dx + dy * dy <= dr * dr
+
+
+def _containment_edges(ss):
+    """The nested pairs among the edges the arc sweep reports."""
+    res = _ArcSweep(ss).run()
+    return sorted(p for p in res.edge_pairs if _nested(ss[p[0]], ss[p[1]])), \
+        res.edge_exceeded
+
+
 def test_arc_intersections_disjoint_tangent_lens():
-    res = arc_intersections_bounded(S((0, 0, 1), (5, 0, 1)), 100)
-    assert res.points == () and not res.exceeded
-    res = arc_intersections_bounded(S((0, 0, 1), (2, 0, 1)), 100)
-    assert len(res.points) == 1 and not res.exceeded
-    res = arc_intersections_bounded(S((0, 0, 1), (1, 0, 1)), 100)
-    assert len(res.points) == 2
+    res = _ArcSweep(S((0, 0, 1), (5, 0, 1)), inter_limit=100).run()
+    assert res.intersections == [] and not res.inter_exceeded
+    res = _ArcSweep(S((0, 0, 1), (2, 0, 1)), inter_limit=100).run()
+    assert len(res.intersections) == 1 and not res.inter_exceeded
+    res = _ArcSweep(S((0, 0, 1), (1, 0, 1)), inter_limit=100).run()
+    assert len(res.intersections) == 2
 
 
 def test_arc_intersections_match_pairwise_enumeration(make_sites):
@@ -30,8 +42,8 @@ def test_arc_intersections_match_pairwise_enumeration(make_sites):
     for _ in range(30):
         ss = make_sites(rng.randint(2, 100), seed=rng.randrange(10**6),
                         rmax=rng.choice([0.06, 0.15, 0.4]))
-        res = arc_intersections_bounded(ss, 10**9)
-        got = sorted((round(x, 9), round(y, 9), i, j) for x, y, i, j in res.points)
+        res = _ArcSweep(ss, inter_limit=10**9).run()
+        got = sorted((round(x, 9), round(y, 9), i, j) for x, y, i, j in res.intersections)
         exp = sorted((round(p[0], 9), round(p[1], 9), i, j)
                      for i in range(len(ss)) for j in range(i + 1, len(ss))
                      for p in circle_circle_points(ss[i], ss[j]))
@@ -40,18 +52,18 @@ def test_arc_intersections_match_pairwise_enumeration(make_sites):
 
 def test_arc_intersections_report_in_x_order_and_abort(make_sites):
     ss = make_sites(60, seed=21, rmax=0.4)
-    res = arc_intersections_bounded(ss, 10**9)
-    xs = [p[0] for p in res.points]
+    res = _ArcSweep(ss, inter_limit=10**9).run()
+    xs = [p[0] for p in res.intersections]
     assert xs == sorted(xs)
-    if len(res.points) > 5:
-        res2 = arc_intersections_bounded(ss, 5)
-        assert res2.exceeded and len(res2.points) == 6  # limit + 1 reports
+    if len(res.intersections) > 5:
+        res2 = _ArcSweep(ss, inter_limit=5).run()
+        assert res2.inter_exceeded and len(res2.intersections) == 6  # limit + 1 reports
 
 
 def test_containment_nested_and_disjoint():
-    edges, exc = containment_edges(S((0, 0, 3), (0.5, 0, 1)))
+    edges, exc = _containment_edges(S((0, 0, 3), (0.5, 0, 1)))
     assert edges == [(0, 1)] and not exc
-    edges, exc = containment_edges(S((0, 0, 1), (5, 0, 1)))
+    edges, exc = _containment_edges(S((0, 0, 1), (5, 0, 1)))
     assert edges == []
 
 
@@ -60,9 +72,9 @@ def test_containment_matches_pairwise_scan(make_sites):
     for _ in range(40):
         ss = make_sites(rng.randint(2, 64), seed=rng.randrange(10**6),
                         rmax=rng.choice([0.2, 0.6, 1.2]))
-        got, _ = containment_edges(ss)
-        exp = sorted((i, j) for i in range(len(ss)) for j in range(len(ss))
-                     if i != j and contains_disk(ss[i], ss[j]))
+        got, _ = _containment_edges(ss)
+        exp = sorted((i, j) for i in range(len(ss)) for j in range(i + 1, len(ss))
+                     if _nested(ss[i], ss[j]))
         assert got == exp
 
 
@@ -76,11 +88,13 @@ def test_plane_pipeline_edge_set_equals_brute(make_sites):
         brute = build_disk_graph_brute(ss)
         if out.plane:
             planes += 1
-            assert set(out.embedding) == set((u, v) for u, v, _ in brute.edges())
+            assert set((u, v) for u, v, _ in out.graph.edges()) == \
+                set((u, v) for u, v, _ in brute.edges())
             n = len(ss)
             assert out.graph.edge_count() <= max(0, 3 * n - 6) or n <= 3
             # independent quadratic segment-crossing check
-            assert find_segment_crossing(ss, list(out.embedding)) is None
+            assert find_segment_crossing(
+                ss, [(u, v) for u, v, _ in out.graph.edges()]) is None
         else:
             witnesses += 1
             a, b, c = out.witness.ids

@@ -7,9 +7,21 @@ import numpy as np
 import pytest
 
 import geogirth
-from geogirth.zorder import (GridCell, ROOT, build_compressed_quadtree,
-                             cell_sites, choose_depth, neighborhood,
-                             z_compare, z_predecessor)
+from geogirth.zorder import (GridCell, ROOT, ZKeys, _locate,
+                             build_compressed_quadtree, choose_depth,
+                             neighborhood, z_predecessor)
+
+
+def _z_keys(cells, depth=9):
+    """Z-order sort keys (``ZKeys.cell_keys``' ckey) of the cells, batched."""
+    levels, ixs, iys = (np.array(v) for v in zip(*cells))
+    return ZKeys(depth).cell_keys(levels, ixs, iys)[2].tolist()
+
+
+def z_compare(a: GridCell, b: GridCell, depth: int = 9) -> int:
+    """-1, 0, +1 for a before/equal/after b, by their ``ZKeys`` sort keys."""
+    ka, kb = _z_keys([a, b], depth)
+    return (ka > kb) - (ka < kb)
 
 
 def _slow_z(a: GridCell, b: GridCell) -> int:
@@ -52,20 +64,23 @@ def test_z_compare_containment_and_figure_order():
 
 def test_z_compare_matches_path_expansion_oracle():
     rng = random.Random(60)
-    for _ in range(100_000):
-        a, b = _rand_cell(rng), _rand_cell(rng)
-        assert z_compare(a, b, depth=9) == _slow_z(a, b)
+    pairs = [(_rand_cell(rng), _rand_cell(rng)) for _ in range(100_000)]
+    ka = _z_keys([a for a, _ in pairs])
+    kb = _z_keys([b for _, b in pairs])
+    for (a, b), x, y in zip(pairs, ka, kb):
+        assert (x > y) - (x < y) == _slow_z(a, b)
 
 
 def test_z_compare_strict_total_order():
     rng = random.Random(61)
-    for _ in range(100_000):
-        a, b, c = (_rand_cell(rng) for _ in range(3))
-        ab, ba = z_compare(a, b, 9), z_compare(b, a, 9)
+    triples = [tuple(_rand_cell(rng) for _ in range(3)) for _ in range(100_000)]
+    ka, kb, kc = (_z_keys([t[i] for t in triples]) for i in range(3))
+    for (a, b, c), x, y, z in zip(triples, ka, kb, kc):
+        ab, ba = (x > y) - (x < y), (y > x) - (y < x)
         assert ab == -ba
         assert (ab == 0) == (a == b)
-        if z_compare(a, b, 9) <= 0 and z_compare(b, c, 9) <= 0:
-            assert z_compare(a, c, 9) <= 0
+        if x <= y and y <= z:
+            assert x <= z
 
 
 def test_duplicate_coordinates_raise_the_package_invariant_violation():
@@ -114,7 +129,8 @@ def test_quadtree_cell_queries_match_scan():
         for _ in range(120):
             l = rng.randint(0, 12)
             cell = GridCell(l, rng.randrange(1 << l), rng.randrange(1 << l))
-            got = sorted(cell_sites(tree, cell).tolist())
+            idx, kind = _locate(tree, *tree.zkeys.cell_key(cell))
+            got = sorted(tree.sites_in_node(idx).tolist()) if kind == 2 else []
             x0, y0, x1, y1 = cell.bounds()
             exp = sorted(i for i in range(n)
                          if x0 <= xs[i] < x1 and y0 <= ys[i] < y1)
