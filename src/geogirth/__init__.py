@@ -17,16 +17,13 @@ from .radius_tree import RadiusTree
 from .range_search import (ALPHA, CrowdedSquare, QueryTripleR2, R1Outcome,
                            build_query_hulls, solve_R1, solve_R2,
                            upper_envelope_faces)
-from .sites import (GeogirthError, InstanceError, InvariantViolation,
-                    LiftedHalfspace, LiftedPoint, Site, SiteSet,
-                    circle_circle_points, disk_edge, dist, lift_point,
-                    lift_site, lifted_violates, read_instance,
-                    triangle_perimeter, tx_edge, write_instance)
+from .sites import (GeogirthError, InstanceError, InvariantViolation, Site,
+                    SiteSet, circle_circle_points, disk_edge, dist,
+                    read_instance, triangle_perimeter, tx_edge, write_instance)
 from .sweep import (SweepOutcome, build_plane_or_witness,
                     find_segment_crossing, triangle_from_crossing)
 from .tx import (TxDecisionContext, decide_tx_perimeter, find_directed_triangle,
                  shortest_triangle_tx)
-from .zorder import (CompressedQuadtree, GridCell, build_compressed_quadtree,
-                     neighborhood, z_predecessor)
+from .zorder import CompressedQuadtree, GridCell, build_compressed_quadtree
 
 __version__ = "0.1.0"

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sites import SiteSet
+from .sites import SiteSet, coincident_centers
 
 
 @dataclass(frozen=True)
@@ -67,17 +67,19 @@ def generate(spec: GeneratorSpec) -> SiteSet:
     if spec.scale_by_sqrt_n:
         rs = rs / np.sqrt(n)
 
-    # coincident centers would violate general position; perturb determinately
+    # coincident centers would violate general position; perturb
+    # determinately.  The last coincidence test serves the site check.
+    order, same = coincident_centers(xs, ys)
     for _ in range(16):
-        order = np.lexsort((ys, xs))
-        dup = np.zeros(n, dtype=bool)
-        if n > 1:
-            same = (xs[order][1:] == xs[order][:-1]) & (ys[order][1:] == ys[order][:-1])
-            dup[order[1:][same]] = True
-        if not dup.any():
+        if not same.any():
             break
+        dup = np.zeros(n, dtype=bool)
+        dup[order[1:][same]] = True
         k = int(dup.sum())
         xs[dup] = rng.random(k)
         ys[dup] = rng.random(k)
+        order, same = coincident_centers(xs, ys)
 
-    return SiteSet.from_arrays(xs, ys, rs)
+    S = SiteSet._from_arrays(xs, ys, rs)
+    S._check((order, same))
+    return S

@@ -26,65 +26,78 @@ from .sweep import build_plane_or_witness
 SQRT2 = math.sqrt(2.0)
 
 
+class _Settled(dict):
+    """Per-vertex values of the settled vertices; others read `default`."""
+
+    def __init__(self, default):
+        super().__init__()
+        self.default = default
+
+    def __missing__(self, v):
+        return self.default
+
+
 @dataclass
 class ShortestPathTree:
-    """Dijkstra tree rooted at `root` with, per vertex, the second vertex on
-    the root path (the root's child leading to it)."""
+    """Dijkstra tree rooted at `root` with, per settled vertex, its distance,
+    its parent and the second vertex on the root path (the root's child
+    leading to it).  Vertices not settled read as distance inf, parent and
+    branch -1.  ``dist`` lists the settled vertices in the order settled."""
 
     root: int
-    dist: list[float]
-    parent: list[int]
-    branch: list[int]
+    dist: _Settled
+    parent: _Settled
+    branch: _Settled
 
 
-def dijkstra_tree(g: UndirectedGraph, root: int) -> ShortestPathTree:
-    n = g.n
-    INF = math.inf
-    d = [INF] * n
-    par = [-1] * n
-    d[root] = 0.0
+def dijkstra_tree(g: UndirectedGraph, root: int, bound: float = math.inf) -> ShortestPathTree:
+    """Shortest-path tree of the vertices closer to `root` than bound/2
+    (all vertices reachable from it when the bound is infinite)."""
+    half = bound / 2.0
+    d = _Settled(math.inf)
+    par = _Settled(-1)
+    branch = _Settled(-1)
+    reach = {root: 0.0}             # tentative distances
+    via = {}                        # tentative parents
     heap = [(0.0, root)]
-    done = [False] * n
-    order = []
     while heap:
         du, u = heapq.heappop(heap)
-        if done[u]:
+        if u in d:
             continue
-        done[u] = True
-        order.append(u)
+        if not du < half:
+            break
+        d[u] = du
+        if u != root:
+            p = par[u] = via[u]
+            branch[u] = u if p == root else branch[p]
         for v, w in g.adj[u]:
             nd = du + w
-            if nd < d[v]:
-                d[v] = nd
-                par[v] = u
+            if nd < reach.get(v, math.inf):
+                reach[v] = nd
+                via[v] = u
                 heapq.heappush(heap, (nd, v))
-    branch = [-1] * n
-    for u in order:
-        p = par[u]
-        if p == -1:
-            continue
-        branch[u] = u if p == root else branch[p]
     return ShortestPathTree(root, d, par, branch)
 
 
-def shortest_cycle_through(g: UndirectedGraph, s: int) -> Optional[Cycle]:
-    """Shortest cycle containing s: two shortest-path-tree branches closed
-    by one non-tree edge.
+def shortest_cycle_through(g: UndirectedGraph, s: int,
+                           bound: float = math.inf) -> Optional[Cycle]:
+    """Shortest cycle containing s and shorter than `bound`: two
+    shortest-path-tree branches closed by one non-tree edge.
 
-    Assumes nonnegative weights, pairwise-distinct path lengths (realized by
-    deterministic tie-breaking) and that every edge is the shortest path
-    between its endpoints; violations are not detected here.
+    Both ends of such an edge lie closer to s than bound/2, so only those
+    vertices are settled and scanned.  Assumes nonnegative weights,
+    pairwise-distinct path lengths (realized by deterministic tie-breaking)
+    and that every edge is the shortest path between its endpoints;
+    violations are not detected here.
     """
-    t = dijkstra_tree(g, s)
-    best_len = math.inf
+    t = dijkstra_tree(g, s, bound)
+    best_len = bound
     best_edge = None
     d, par, br = t.dist, t.parent, t.branch
-    for u in range(g.n):
+    for u in sorted(d):         # in id order: ties go to the smaller ids
         du = d[u]
-        if not math.isfinite(du):
-            continue
         for v, w in g.adj[u]:
-            if v < u or not math.isfinite(d[v]):
+            if v < u or v not in d:
                 continue
             if par[v] == u or par[u] == v:
                 continue
@@ -114,8 +127,9 @@ def shortest_cycle_through(g: UndirectedGraph, s: int) -> Optional[Cycle]:
 
 
 # ---------------------------------------------------------------------------
-# planar substitutes (exact, asymptotically coarser than the cited
-# black boxes; see decisions ledger)
+# plane girth: exact searches standing in for the linear-time plane-graph
+# algorithms the paper cites (Chang & Lu for the girth, Lacki & Sankowski
+# for the weighted girth), which are not implemented here
 
 
 def planar_girth_unweighted(g: UndirectedGraph) -> Optional[int]:
@@ -125,7 +139,8 @@ def planar_girth_unweighted(g: UndirectedGraph) -> Optional[int]:
 
 def planar_weighted_girth(g: UndirectedGraph) -> Optional[Cycle]:
     """Exact minimum-weight cycle by running the shortest-cycle-through
-    search from every vertex that can lie on a cycle."""
+    search, bounded by the best cycle so far, from every vertex that can
+    lie on a cycle."""
     # iteratively strip degree <= 1 vertices; they are on no cycle
     deg = [len(a) for a in g.adj]
     alive = [True] * g.n
@@ -141,12 +156,14 @@ def planar_weighted_girth(g: UndirectedGraph) -> Optional[Cycle]:
             deg[u] -= 1
             if deg[u] <= 1 and alive[u]:
                 stack.append(u)
+    # a cycle through v shorter than the best so far stays within half
+    # the best length of v, so each search stops there
     best: Optional[Cycle] = None
     for v in range(g.n):
         if not alive[v]:
             continue
-        cand = shortest_cycle_through(g, v)
-        if cand is not None and (best is None or cand.key() < best.key()):
+        cand = shortest_cycle_through(g, v, math.inf if best is None else best.length)
+        if cand is not None:
             best = cand
     return best
 

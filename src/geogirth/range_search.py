@@ -19,7 +19,6 @@ against the faces of the union polytope.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -30,7 +29,7 @@ from .radius_tree import RadiusTree
 from .sites import InvariantViolation, SiteSet
 from .zorder import (CompressedQuadtree, ZKeys,
                      build_compressed_quadtree_from_codes, choose_depth,
-                     neighborhood)
+                     neighborhood_cells)
 
 ALPHA = 72
 
@@ -82,56 +81,12 @@ class _CrowdedAbort(Exception):
         self.square = square
 
 
-def _neighborhood_rows(S: SiteSet, query_ids: np.ndarray, zk: ZKeys):
-    """Split queries: one row per (neighborhood cell, query site)."""
-    if not zk.int64:
-        q_sites: list[int] = []
-        levels: list[int] = []
-        ixs: list[int] = []
-        iys: list[int] = []
-        for q in query_ids.tolist():
-            s = S[q]
-            for c in neighborhood(s.x, s.y, s.r, zk.depth):
-                q_sites.append(q)
-                levels.append(c.level)
-                ixs.append(c.ix)
-                iys.append(c.iy)
-        k0, k3, ckey = zk.cell_keys(np.array(levels, dtype=np.int64),
-                                    np.array(ixs, dtype=np.int64),
-                                    np.array(iys, dtype=np.int64))
-        return np.array(q_sites, dtype=np.int64), k0, k3, ckey
-
-    xs, ys, rs = S.xs[query_ids], S.ys[query_ids], S.rs[query_ids]
-    lev = np.zeros(len(query_ids), dtype=np.int64)
-    small = rs < 1.0
-    lev[small] = np.maximum(0, -np.floor(np.log2(rs[small]))).astype(np.int64)
-    lev = np.minimum(lev, zk.depth)
-    side = np.ldexp(1.0, -lev)
-    nmax = (np.int64(1) << lev) - 1
-    ix0 = np.maximum(np.floor((xs - rs) / side), 0).astype(np.int64)
-    ix1 = np.minimum(np.floor((xs + rs) / side).astype(np.int64), nmax)
-    iy0 = np.maximum(np.floor((ys - rs) / side), 0).astype(np.int64)
-    iy1 = np.minimum(np.floor((ys + rs) / side).astype(np.int64), nmax)
-    w = ix1 - ix0 + 1
-    h = iy1 - iy0 + 1
-    counts = w * h
-    if int(counts.max(initial=0)) > 25:
-        raise InvariantViolation("neighborhood bounding box exceeds 25 cells")
-    ends = np.cumsum(counts)
-    total = int(ends[-1]) if len(ends) else 0
-    row = np.repeat(np.arange(len(query_ids), dtype=np.int64), counts)
-    kloc = np.arange(total, dtype=np.int64) - np.repeat(ends - counts, counts)
-    hh = h[row]
-    ix = ix0[row] + kloc // hh
-    iy = iy0[row] + kloc % hh
-    # keep only cells actually intersecting the disk
-    sd = side[row]
-    cx = np.clip(xs[row], ix * sd, (ix + 1) * sd)
-    cy = np.clip(ys[row], iy * sd, (iy + 1) * sd)
-    keep = (cx - xs[row]) ** 2 + (cy - ys[row]) ** 2 <= rs[row] ** 2
-    row, ix, iy = row[keep], ix[keep], iy[keep]
-    k0, k3, ckey = zk.cell_keys(lev[row], ix, iy)
-    return query_ids[row], k0, k3, ckey
+def _neighborhood_rows(norm: SiteSet, query_ids: np.ndarray, zk: ZKeys):
+    """One row per (neighborhood cell, query site): the site and the cell's
+    keys.  Rows outnumber sites up to 25 to 1, so nothing else is kept."""
+    row, level, ix, iy = neighborhood_cells(norm.xs[query_ids], norm.ys[query_ids],
+                                            norm.rs[query_ids], zk.depth)
+    return (query_ids[row], *zk.cell_keys(level, ix, iy))
 
 
 def _cell_to_original(norm: SiteSet, level: int, k0, zk: ZKeys) -> CrowdedSquare:
@@ -182,23 +137,10 @@ def solve_R1(S: SiteSet, query_ids: Optional[Sequence[int]] = None,
     pairs_t: list[np.ndarray] = []
 
     def crowded_from_row(row: int) -> _CrowdedAbort:
-        lev = _query_level(norm, int(q_site[row]), zk)
-        return _CrowdedAbort(_cell_to_original(norm, lev, qk0[row], zk))
+        return _CrowdedAbort(_cell_to_original(norm, zk.level_of(qck[row]), qk0[row], zk))
 
     def process(sel: np.ndarray, tree: CompressedQuadtree) -> None:
-        idx = np.searchsorted(tree.ckey, qck[sel], side="right") - 1
-        idxc = np.maximum(idx, 0)
-        pred_ok = (idx >= 0) & (tree.k0[idxc] >= qk0[sel]) & (tree.k3[idxc] <= qk3[sel])
-        succ = np.minimum(idx + 1, len(tree) - 1)
-        succ_ok = (~pred_ok) & (idx + 1 < len(tree)) & tree.is_leaf[succ] & \
-            (tree.k0[succ] <= qk0[sel]) & (tree.k3[succ] >= qk3[sel])
-        if succ_ok.any():
-            code = tree.point_codes[tree.site_lo[succ]]
-            succ_ok &= (qk0[sel] <= code) & (code <= qk3[sel])
-        lo = np.where(pred_ok, tree.site_lo[idxc],
-                      np.where(succ_ok, tree.site_lo[succ], 0)).astype(np.int64)
-        hi = np.where(pred_ok, tree.site_hi[idxc],
-                      np.where(succ_ok, tree.site_hi[succ], 0)).astype(np.int64)
+        lo, hi = tree.site_ranges(qk0[sel], qk3[sel], qck[sel])
         k = hi - lo
         over = k > alpha
         if over.any():
@@ -275,12 +217,6 @@ def solve_R1(S: SiteSet, query_ids: Optional[Sequence[int]] = None,
     return R1Outcome(None, offsets, pt[np.lexsort((pt, ps))])
 
 
-def _query_level(norm: SiteSet, site: int, zk: ZKeys) -> int:
-    r = float(norm.rs[site])
-    level = max(0, -math.floor(math.log2(r))) if r < 1.0 else 0
-    return min(level, zk.depth)
-
-
 # ---------------------------------------------------------------------------
 # R2: lifted polytopes
 
@@ -306,9 +242,17 @@ def lifted_planes(S: SiteSet) -> np.ndarray:
 
 
 def lifted_points(S: SiteSet, ids: np.ndarray) -> np.ndarray:
+    """(len(ids), 3) rows [x, y, x^2 + y^2]: the centers on the paraboloid."""
     x = S.xs[ids]
     y = S.ys[ids]
     return np.column_stack((x, y, x * x + y * y))
+
+
+def lifted_violations(points: np.ndarray, planes: np.ndarray) -> np.ndarray:
+    """(m, k) booleans: plane j rises above lifted point i, i.e. planar
+    point i lies strictly inside disk j."""
+    env = points[:, :2] @ planes[:, :2].T + planes[:, 2][None, :]
+    return env > points[:, 2][:, None]
 
 
 _HULL_MIN = 64
@@ -408,8 +352,7 @@ def solve_R2(S: SiteSet, queries: Sequence[QueryTripleR2]) -> Optional[tuple[int
             pl_f = pl
         # a lifted query vertex violates the union polytope iff some plane
         # rises above it: then the planar point lies inside that disk
-        env = qh.points[:, :2] @ pl_f[:, :2].T + pl_f[:, 2][None, :]
-        viol = env.max(axis=1) > qh.points[:, 2]
+        viol = lifted_violations(qh.points, pl_f).any(axis=1)
         if not viol.any():
             continue
         qi = int(qh.query_idx[int(np.flatnonzero(viol)[0])])

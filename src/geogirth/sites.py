@@ -1,4 +1,6 @@
-"""Sites, disks, geometric predicates and the paraboloid lifting map.
+"""Sites, disks, geometric predicates, instance I/O and the package's
+error classes.  (The paraboloid lifting of disks lives with its one user,
+R2, in ``range_search``.)
 
 Everything downstream works on a ``SiteSet``: n sites (center plus
 positive radius) held as three float64 arrays, where site i, with id i, is
@@ -23,22 +25,6 @@ class Site(NamedTuple):
     r: float
 
 
-class LiftedHalfspace(NamedTuple):
-    """Upper halfspace z >= a*x + b*y + c encoding one disk."""
-
-    a: float
-    b: float
-    c: float
-
-
-class LiftedPoint(NamedTuple):
-    """Point on the paraboloid z = x^2 + y^2."""
-
-    x: float
-    y: float
-    z: float
-
-
 class GeogirthError(Exception):
     """Base of every error the package raises itself."""
 
@@ -61,6 +47,14 @@ class Normalization:
 
     def to_original(self, length: float) -> float:
         return length * self.scale
+
+
+def coincident_centers(xs: np.ndarray, ys: np.ndarray):
+    """(order, dup): the lexicographic order of the centers, and per pair of
+    neighbours in it whether their centers are equal."""
+    order = np.lexsort((ys, xs))
+    sx, sy = xs[order], ys[order]
+    return order, (sx[1:] == sx[:-1]) & (sy[1:] == sy[:-1])
 
 
 class SiteSet:
@@ -106,9 +100,12 @@ class SiteSet:
         self.normalization = normalization
         self._sites = None
 
-    def _check(self) -> None:
+    def _check(self, coincidences=None) -> None:
         """Raise InstanceError naming the first site whose radius or center
-        is invalid, or two sites with the same center."""
+        is invalid, or two sites with the same center.
+
+        `coincidences` is ``coincident_centers(xs, ys)`` if the caller has
+        it already."""
         xs, ys, rs = self.xs, self.ys, self.rs
         bad_r = ~((rs > 0) & np.isfinite(rs))
         bad = bad_r | ~(np.isfinite(xs) & np.isfinite(ys))
@@ -118,14 +115,11 @@ class SiteSet:
                 raise InstanceError(
                     f"site {i}: radius must be positive and finite (got {float(rs[i])!r})")
             raise InstanceError(f"site {i}: non-finite coordinates")
-        if len(xs) > 1:
-            order = np.lexsort((ys, xs))
-            sx, sy = xs[order], ys[order]
-            dup = (sx[1:] == sx[:-1]) & (sy[1:] == sy[:-1])
-            if dup.any():
-                k = int(np.argmax(dup))
-                raise InstanceError(
-                    f"coincident sites {order[k]} and {order[k + 1]} violate general position")
+        order, dup = coincidences or coincident_centers(xs, ys)
+        if dup.any():
+            k = int(np.argmax(dup))
+            raise InstanceError(
+                f"coincident sites {order[k]} and {order[k + 1]} violate general position")
 
     @property
     def sites(self) -> tuple:
@@ -276,28 +270,6 @@ def circle_circle_points(a: Site, b: Site) -> list[tuple[float, float]]:
     if (p2[1], p2[0]) < (p1[1], p1[0]):
         return [p2, p1]
     return [p1, p2]
-
-
-# ---------------------------------------------------------------------------
-# lifting
-
-
-def lift_site(s: Site) -> LiftedHalfspace:
-    """Halfspace z >= 2*x_s*x + 2*y_s*y + (r^2 - x_s^2 - y_s^2).
-
-    A lifted point violates the halfspace exactly when the planar point lies
-    inside D_s.
-    """
-    return LiftedHalfspace(2.0 * s.x, 2.0 * s.y, s.r * s.r - s.x * s.x - s.y * s.y)
-
-
-def lift_point(x: float, y: float) -> LiftedPoint:
-    return LiftedPoint(x, y, x * x + y * y)
-
-
-def lifted_violates(p: LiftedPoint, h: LiftedHalfspace) -> bool:
-    """z < a*x + b*y + c, i.e. the planar point is inside the disk."""
-    return p.z < h.a * p.x + h.b * p.y + h.c
 
 
 # ---------------------------------------------------------------------------

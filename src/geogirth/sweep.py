@@ -195,10 +195,20 @@ class _ArcSweep:
     # -- edge bookkeeping
 
     def _add_edge(self, i: int, j: int) -> bool:
-        """Record a discovered edge; returns False once the budget is blown."""
+        """Record a discovered edge; returns False once the budget is blown.
+
+        Only pairs that pass ``disk_edge`` are recorded: at tangencies and
+        shared event points the face sets can name disks that do not meet.
+        """
         pair = (i, j) if i < j else (j, i)
         ep = self.state.edge_pairs
         if pair not in ep:
+            # disk_edge on the coordinate lists
+            dx = self.cx[i] - self.cx[j]
+            dy = self.cy[i] - self.cy[j]
+            rr = self.cr[i] + self.cr[j]
+            if dx * dx + dy * dy > rr * rr:
+                return True
             ep.add(pair)
             if self.edge_limit is not None and len(ep) > self.edge_limit:
                 self.state.edge_exceeded = True

@@ -1,4 +1,5 @@
-"""Hierarchical grid cells, Z-order, and compressed quadtrees.
+"""Hierarchical grid cells, Z-order, compressed quadtrees and disk
+neighborhoods.
 
 Cells of the hierarchical grid over the unit square are addressed by
 (level, ix, iy); level i cells have side 2^-i, iy counts from the bottom.
@@ -9,9 +10,11 @@ Every cell gets an interleaved integer key (y-bits complemented so NW sorts
 first) padded to a fixed depth: padding with zeros gives the start of the
 cell's subtree range (k0), padding with ones the end (k3).  Sorting by
 (k3, -level) is exactly the Z-order, so predecessor searches are plain
-binary searches.  Keys fit an int64 up to depth 29; deeper instances fall
-back to Python integers transparently.
-"""
+binary searches: ``CompressedQuadtree.site_ranges`` answers a batch of
+query cells with one predecessor and one successor probe each, and
+``neighborhood_cells`` lists the at most 25 cells meeting each disk.  Keys
+fit an int64 up to depth 29 and cell indices up to level 62; deeper
+instances fall back to Python integers transparently."""
 
 from __future__ import annotations
 
@@ -150,9 +153,9 @@ class ZKeys:
         return (np.array(out0, dtype=object), np.array(out3, dtype=object),
                 np.array(outc, dtype=object))
 
-    def cell_key(self, cell: GridCell):
-        k0, k3, ck = self.cell_keys([cell.level], [cell.ix], [cell.iy])
-        return k0[0], k3[0], ck[0]
+    def level_of(self, ckey) -> int:
+        """Level of the cell whose sort key (``cell_keys``' ckey) is `ckey`."""
+        return self.level_max - (int(ckey) & self.level_max)
 
     def decode(self, level: int, k0) -> GridCell:
         pref = int(k0) >> (2 * (self.depth - level))
@@ -230,6 +233,30 @@ class CompressedQuadtree:
 
     def sites_in_node(self, i: int) -> np.ndarray:
         return self.zorder_sites[int(self.site_lo[i]):int(self.site_hi[i])]
+
+    def site_ranges(self, k0, k3, ckey):
+        """Per query cell (keys as from ``ZKeys.cell_keys``), the range
+        [lo, hi) of ``zorder_sites`` holding exactly the sites inside it.
+
+        The cell's Z-order predecessor holds the cell's sites when it lies
+        inside the cell.  A cell strictly inside a leaf's cell is disjoint
+        from its predecessor, so one successor probe tests that leaf's site.
+        Any other cell holds no site and gets lo == hi == 0.
+        """
+        idx = np.searchsorted(self.ckey, ckey, side="right") - 1
+        idxc = np.maximum(idx, 0)
+        pred_ok = (idx >= 0) & (self.k0[idxc] >= k0) & (self.k3[idxc] <= k3)
+        succ = np.minimum(idx + 1, len(self) - 1)
+        succ_ok = (~pred_ok) & (idx + 1 < len(self)) & self.is_leaf[succ] & \
+            (self.k0[succ] <= k0) & (self.k3[succ] >= k3)
+        if succ_ok.any():
+            code = self.point_codes[self.site_lo[succ]]
+            succ_ok &= (k0 <= code) & (code <= k3)
+        lo = np.where(pred_ok, self.site_lo[idxc],
+                      np.where(succ_ok, self.site_lo[succ], 0)).astype(np.int64)
+        hi = np.where(pred_ok, self.site_hi[idxc],
+                      np.where(succ_ok, self.site_hi[succ], 0)).astype(np.int64)
+        return lo, hi
 
 
 def _lca_levels(codes: np.ndarray, depth: int, int64: bool) -> np.ndarray:
@@ -317,64 +344,57 @@ def build_compressed_quadtree(xs, ys, depth: Optional[int] = None,
 
 
 # ---------------------------------------------------------------------------
-# predecessor queries and neighborhoods
+# disk neighborhoods
+
+_INDEX_MAX_LEVEL = 62      # cell indices of deeper levels pass int64
 
 
-def _locate(tree: CompressedQuadtree, k0q, k3q, ckq) -> tuple[int, int]:
-    """(node index, kind): kind 2 = node holds exactly the query's sites,
-    1 = disjoint predecessor (query empty), 0 = no predecessor."""
-    idx = int(np.searchsorted(tree.ckey, ckq, side="right")) - 1
-    if idx >= 0 and tree.k0[idx] >= k0q and tree.k3[idx] <= k3q:
-        return idx, 2
-    succ = idx + 1
-    if succ < len(tree) and tree.is_leaf[succ] and \
-            tree.k0[succ] <= k0q and tree.k3[succ] >= k3q:
-        code = tree.point_codes[int(tree.site_lo[succ])]
-        if k0q <= code <= k3q:
-            return succ, 2
-    return (idx, 1) if idx >= 0 else (idx, 0)
+def neighborhood_cells(xs, ys, rs, depth: int):
+    """Cells of side 2^floor(log2 r), at level at most `depth`, meeting
+    each disk: at most 25 per disk, since the side exceeds r/2 and a 5x5
+    block of such cells covers the disk wherever it sits.
 
-
-def z_predecessor(tree: CompressedQuadtree, cell: GridCell) -> Optional[GridCell]:
-    """Cell tau of the linearization with: tau disjoint from the query
-    implies the query holds no site, else the query's sites equal tau's.
-
-    This is the Z-order predecessor, extended by one successor probe for
-    queries strictly inside a leaf cell (where the plain predecessor is
-    disjoint although the leaf's site may lie inside the query).
+    Returns (disk, level, ix, iy), one entry per cell, ordered by disk,
+    then ix, then iy: the disk's index into xs/ys/rs, its level, and the
+    cell indices.  The indices are int64 up to level 62 and Python ints
+    (dtype=object) beyond.
     """
-    k0q, k3q, ckq = tree.zkeys.cell_key(cell)
-    idx, kind = _locate(tree, k0q, k3q, ckq)
-    if idx < 0:
-        return None
-    return tree.cell(idx)
-
-
-def neighborhood(x: float, y: float, r: float, depth: int) -> list[GridCell]:
-    """All cells of side 2^floor(log2 r) intersecting the disk at (x, y).
-
-    At most 25 cells: the cell side exceeds r/2, and a 5x5 block of such
-    cells covers the disk wherever it sits.
-    """
-    if r <= 0:
-        raise ValueError("radius must be positive")
-    level = max(0, -math.floor(math.log2(r))) if r < 1.0 else 0
-    level = min(level, depth)
-    side = 2.0 ** (-level)
-    nmax = (1 << level) - 1
-    ix0 = max(0, int(math.floor((x - r) / side)))
-    ix1 = min(nmax, int(math.floor((x + r) / side)))
-    iy0 = max(0, int(math.floor((y - r) / side)))
-    iy1 = min(nmax, int(math.floor((y + r) / side)))
-    out = []
-    for ix in range(ix0, ix1 + 1):
-        cx = min(max(x, ix * side), (ix + 1) * side)
-        ddx = cx - x
-        for iy in range(iy0, iy1 + 1):
-            cy = min(max(y, iy * side), (iy + 1) * side)
-            ddy = cy - y
-            if ddx * ddx + ddy * ddy <= r * r:
-                out.append(GridCell(level, ix, iy))
-    if len(out) > 25:
-        raise InvariantViolation(f"neighborhood has {len(out)} > 25 cells")
-    return out
+    lev = np.zeros(len(rs), dtype=np.int64)
+    small = rs < 1.0
+    lev[small] = np.maximum(0, -np.floor(np.log2(rs[small]))).astype(np.int64)
+    lev = np.minimum(lev, depth)
+    side = np.ldexp(1.0, -lev)
+    fx0 = np.maximum(np.floor((xs - rs) / side), 0.0)
+    fy0 = np.maximum(np.floor((ys - rs) / side), 0.0)
+    fx1 = np.floor((xs + rs) / side)
+    fy1 = np.floor((ys + rs) / side)
+    if int(lev.max(initial=0)) <= _INDEX_MAX_LEVEL:
+        nmax = (np.int64(1) << lev) - 1
+        ix0, iy0 = fx0.astype(np.int64), fy0.astype(np.int64)
+        ix1 = np.minimum(fx1.astype(np.int64), nmax)
+        iy1 = np.minimum(fy1.astype(np.int64), nmax)
+    else:
+        as_int = np.frompyfunc(int, 1, 1)
+        nmax = (np.ones(len(lev), dtype=object) << lev.astype(object)) - 1
+        ix0, iy0 = as_int(fx0), as_int(fy0)
+        ix1 = np.minimum(as_int(fx1), nmax)
+        iy1 = np.minimum(as_int(fy1), nmax)
+    w = (ix1 - ix0 + 1).astype(np.int64)
+    h = (iy1 - iy0 + 1).astype(np.int64)
+    counts = w * h
+    if int(counts.max(initial=0)) > 25:
+        raise InvariantViolation("neighborhood bounding box exceeds 25 cells")
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    disk = np.repeat(np.arange(len(rs), dtype=np.int64), counts)
+    kloc = np.arange(total, dtype=np.int64) - np.repeat(ends - counts, counts)
+    hh = h[disk]
+    ix = ix0[disk] + kloc // hh
+    iy = iy0[disk] + kloc % hh
+    # keep only cells actually meeting the disk
+    sd = side[disk]
+    cx = np.clip(xs[disk], ix.astype(np.float64) * sd, (ix + 1).astype(np.float64) * sd)
+    cy = np.clip(ys[disk], iy.astype(np.float64) * sd, (iy + 1).astype(np.float64) * sd)
+    keep = (cx - xs[disk]) ** 2 + (cy - ys[disk]) ** 2 <= rs[disk] ** 2
+    disk = disk[keep]
+    return disk, lev[disk], ix[keep], iy[keep]

@@ -22,12 +22,13 @@ from geogirth.graphs import (brute_directed_triangle, brute_girth_unweighted,
                              brute_shortest_triangle, brute_triangle,
                              build_disk_graph_brute, build_tx_graph_brute,
                              triangle_is_valid_disk, triangle_is_valid_tx)
-from geogirth.range_search import ALPHA, QueryTripleR2, solve_R1, solve_R2
-from geogirth.sites import (Site, SiteSet, circle_circle_points, disk_edge,
-                            lift_point, lift_site, lifted_violates)
+from geogirth.range_search import (ALPHA, QueryTripleR2, lifted_planes,
+                                   lifted_points, lifted_violations, solve_R1,
+                                   solve_R2)
+from geogirth.sites import Site, SiteSet, circle_circle_points, disk_edge
 from geogirth.sweep import find_segment_crossing, triangle_from_crossing
 from geogirth.tx import find_directed_triangle, shortest_triangle_tx
-from geogirth.zorder import GridCell, build_compressed_quadtree, z_predecessor
+from geogirth.zorder import GridCell, build_compressed_quadtree
 
 REL = 1e-9
 
@@ -306,36 +307,36 @@ def test_criterion_9_lemma_properties():
         assert ok
         checked += 1
 
-    # Z-predecessor contract on random cells
+    # Z-predecessor contract on random cells: each cell's site range is
+    # exactly the sites inside it
     for _ in range(40):
         n = rng.randint(1, 60)
         xs = np.array([rng.uniform(0.01, 0.99) for _ in range(n)])
         ys = np.array([rng.uniform(0.01, 0.99) for _ in range(n)])
-        tree, _ = build_compressed_quadtree(xs, ys)
+        tree, zk = build_compressed_quadtree(xs, ys)
+        cells = []
         for _ in range(100):
             l = rng.randint(0, 14)
-            cell = GridCell(l, rng.randrange(1 << l), rng.randrange(1 << l))
-            tau = z_predecessor(tree, cell)
+            cells.append(GridCell(l, rng.randrange(1 << l), rng.randrange(1 << l)))
+        lo, hi = tree.site_ranges(*zk.cell_keys(*(np.array(v) for v in zip(*cells))))
+        for cell, a, b in zip(cells, lo.tolist(), hi.tolist()):
             x0, y0, x1, y1 = cell.bounds()
-            inside = sorted(i for i in range(n)
-                            if x0 <= xs[i] < x1 and y0 <= ys[i] < y1)
-            if tau is None:
-                assert inside == []
-                continue
-            tx0, ty0, tx1, ty1 = tau.bounds()
-            if tx1 <= x0 or x1 <= tx0 or ty1 <= y0 or y1 <= ty0:
-                assert inside == []
-            else:
-                assert inside == sorted(
-                    i for i in range(n)
-                    if tx0 <= xs[i] < tx1 and ty0 <= ys[i] < ty1)
+            assert sorted(tree.zorder_sites[a:b].tolist()) == sorted(
+                i for i in range(n) if x0 <= xs[i] < x1 and y0 <= ys[i] < y1)
 
-    # lifting equivalence
-    for _ in range(100_000):
-        s = Site(0, rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(0.01, 1.0))
+    # lifting equivalence, through solve_R2's violation test
+    disks, points, inside = [], [], []
+    for i in range(100_000):
+        s = Site(i, rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(0.01, 1.0))
         px, py = rng.uniform(-0.5, 1.5), rng.uniform(-0.5, 1.5)
-        inside = (px - s.x) ** 2 + (py - s.y) ** 2 < s.r ** 2
-        assert lifted_violates(lift_point(px, py), lift_site(s)) == inside
+        disks.append(s)
+        points.append(Site(i, px, py, 1.0))
+        inside.append((px - s.x) ** 2 + (py - s.y) ** 2 < s.r ** 2)
+    planes = lifted_planes(SiteSet(disks))
+    lifted = lifted_points(SiteSet(points), np.arange(len(points)))
+    for a in range(0, len(points), 512):
+        viol = np.diagonal(lifted_violations(lifted[a:a + 512], planes[a:a + 512]))
+        assert viol.tolist() == inside[a:a + 512]
 
     _report("9 lemma property suites", True,
             "crossing/common-point, grid cover, cycle structure, "

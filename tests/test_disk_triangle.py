@@ -11,7 +11,9 @@ from geogirth.disk_triangle import (ShiftedGrids, decide_perimeter,
                                     find_triangle_disk, planar_triangle,
                                     shortest_triangle_disk)
 from geogirth.generator import GeneratorSpec, generate
-from geogirth.graphs import (brute_shortest_triangle, brute_triangle,
+from geogirth.girth import girth_unweighted, weighted_girth_disk
+from geogirth.graphs import (brute_girth_unweighted, brute_min_weight_cycle,
+                             brute_shortest_triangle, brute_triangle,
                              build_disk_graph_brute, triangle_is_valid_disk)
 from geogirth.grids import ShiftedGridIndex
 from geogirth.sites import Site, SiteSet
@@ -223,13 +225,27 @@ def test_decide_perimeter_tangent_disks():
     # 4x4 lattice of radius-0.5 disks: each neighbour pair is tangent, and
     # the lattice graph is triangle-free
     lattice = [(float(i), float(j), 0.5) for i in range(4) for j in range(4)]
-    _check_against_brute(S(*lattice), (0.5, 1.0, 3.0, 2.0 + SQRT2, 4.0, 12.0))
+    _check_against_brute(S(*lattice), (0.5, 1.0, 3.0, 2.0 + SQRT2, 4.0, 12.0, 100.0))
     # exactly tangent triangles: at W = 12 the 3-4-5 one has three large
     # vertices (step b); at W = 90 the 9-40-41 one has two small vertices,
     # of radii 4 and 5, and one large (step c)
     for tri, P in ((((0.0, 0.0, 2.0), (3.0, 0.0, 1.0), (3.0, 4.0, 3.0)), 12.0),
                    (((0.0, 0.0, 4.0), (9.0, 0.0, 5.0), (0.0, 40.0, 36.0)), 90.0)):
         assert _check_against_brute(S(*tri), (P / 2.0, 2.0 * P)) == P
+
+
+def test_tangent_lattices_match_the_oracles():
+    # k x k lattices of radius-0.5 disks at integer points: neighbours are
+    # tangent, so the arc sweep meets shared event points everywhere
+    for k in range(2, 13):
+        ss = S(*[(float(i), float(j), 0.5) for i in range(k) for j in range(k)])
+        g = build_disk_graph_brute(ss)
+        assert brute_triangle(g, ss) is None
+        assert find_triangle_disk(ss) is None
+        assert shortest_triangle_disk(ss) is None
+        assert not decide_perimeter(ss, 100.0)
+        assert girth_unweighted(ss) == brute_girth_unweighted(g) == 4
+        assert weighted_girth_disk(ss).length == brute_min_weight_cycle(g).length == 4.0
 
 
 def test_decide_perimeter_third_vertex_three_cells_away():

@@ -242,3 +242,30 @@ def test_planar_weighted_girth_forest_and_single_cycle():
     g = _weighted_cycle_graph([1.0, 1.0, 2.0, 0.25])
     c = planar_weighted_girth(g)
     assert c.length == pytest.approx(4.25)
+
+
+def test_planar_weighted_girth_on_jittered_lattice():
+    # 16 x 16 lattice, unit spacing, jitter +-0.05, radii U(0.52, 0.6): a
+    # triangle-free plane graph of girth 4 with distinct cycle lengths, on
+    # which each bounded search stops well before the whole graph
+    rng = random.Random(59)
+    ss = S(*[(i + rng.uniform(-0.05, 0.05), j + rng.uniform(-0.05, 0.05),
+              rng.uniform(0.52, 0.6)) for i in range(16) for j in range(16)])
+    g = build_disk_graph_brute(ss)
+    exp = brute_min_weight_cycle(g)
+    assert girth_unweighted(ss) == 4
+    for c in (planar_weighted_girth(g), weighted_girth_disk(ss)):
+        assert cycle_is_valid(g, c)
+        assert c.length == pytest.approx(exp.length, rel=1e-9)
+        assert sorted(c.vertices) == sorted(exp.vertices)
+
+
+def test_bounded_cycle_search_keeps_only_shorter_cycles():
+    g = _weighted_cycle_graph([1.0, 2.0, 0.5, 1.5])
+    assert shortest_cycle_through(g, 0, 5.0) is None
+    assert shortest_cycle_through(g, 0, math.nextafter(5.0, 6.0)).length == 5.0
+    # the bounded tree settles only vertices closer than bound/2
+    t = dijkstra_tree(g, 0, 2.0)
+    assert dict(t.dist) == {0: 0.0}
+    assert t.dist[1] == math.inf and t.parent[1] == -1 and t.branch[1] == -1
+    assert sorted(dijkstra_tree(g, 0, 3.1).dist) == [0, 1, 3]

@@ -9,8 +9,9 @@ from geogirth.generator import GeneratorSpec, generate
 from geogirth.grids import GridIndex
 from geogirth.radius_tree import RadiusTree
 from geogirth.range_search import (ALPHA, CrowdedSquare, QueryTripleR2,
-                                   build_query_hulls, lifted_planes, solve_R1,
-                                   solve_R2, upper_envelope_faces)
+                                   build_query_hulls, lifted_planes,
+                                   lifted_violations, solve_R1, solve_R2,
+                                   upper_envelope_faces)
 from geogirth.sites import Site, SiteSet
 from geogirth.zorder import INT64_MAX_DEPTH, choose_depth
 
@@ -206,6 +207,21 @@ def test_r1_matches_brute_at_python_int_depth():
     assert [e.tolist() for e in out.edges] == _brute_r1_arrays(ss)
 
 
+def test_r1_matches_brute_past_int64_cell_indices():
+    # radii down to 1e-21 of the extent: those disks' neighborhood levels
+    # pass 62, so their cell indices are Python ints too
+    rng = np.random.default_rng(86)
+    n = 200
+    rs = np.exp(rng.uniform(math.log(1e-21), math.log(0.3), n))
+    rs[:3] = (1e-21, 3e-20, 2e-19)
+    ss = SiteSet.from_arrays(rng.random(n), rng.random(n), rs)
+    norm = ss.normalized()
+    assert -math.floor(math.log2(float(norm.rs.min()))) > 62
+    out = solve_R1(ss)
+    assert not out.is_crowded
+    assert [e.tolist() for e in out.edges] == _brute_r1_arrays(ss)
+
+
 def test_r1_matches_brute_where_fat_leaves_dominate():
     ss = generate(GeneratorSpec(n=2000, r_min=0.01, r_max=0.1))
     out = solve_R1(ss)
@@ -330,8 +346,7 @@ def test_lifting_soundness_per_node(make_sites):
         in_union = any((px - ss.xs[t]) ** 2 + (py - ss.ys[t]) ** 2 < ss.rs[t] ** 2
                        for t in ids.tolist())
         pz = px * px + py * py
-        viol = bool((planes[lo:hi, 0] * px + planes[lo:hi, 1] * py +
-                     planes[lo:hi, 2] > pz).any())
+        viol = bool(lifted_violations(np.array([[px, py, pz]]), planes[lo:hi]).any())
         assert viol == in_union
 
 

@@ -1,4 +1,4 @@
-"""Geometric primitives: predicates, circle intersections, lifting, I/O."""
+"""Geometric primitives: predicates, circle intersections, R2's lifting, I/O."""
 
 import math
 import random
@@ -8,9 +8,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from geogirth.generator import GeneratorSpec, generate
+from geogirth.range_search import (lifted_planes, lifted_points,
+                                   lifted_violations)
 from geogirth.sites import (InstanceError, Site, SiteSet, circle_circle_points,
                             disk_edge, dist, exact_disk_edge, exact_tx_edge,
-                            lift_point, lift_site, lifted_violates,
                             read_instance, triangle_perimeter, tx_edge,
                             write_instance)
 
@@ -136,21 +138,36 @@ def test_circle_points_coincident_rejected():
         circle_circle_points(Site(0, 0.25, 0.5, 1.0), Site(1, 0.25, 0.5, 1.0))
 
 
+def _lifted_inside(disks: SiteSet, points: SiteSet) -> np.ndarray:
+    """Per i, whether lifted point i violates disk i's lifted halfspace:
+    ``solve_R2``'s violation test, one disk and one point at a time."""
+    planes = lifted_planes(disks)
+    pts = lifted_points(points, np.arange(len(points)))
+    out = np.empty(len(points), dtype=bool)
+    for a in range(0, len(points), 512):
+        out[a:a + 512] = np.diagonal(lifted_violations(pts[a:a + 512], planes[a:a + 512]))
+    return out
+
+
 def test_lift_trivial_cases():
-    s = Site(0, 0.0, 0.0, 1.0)
-    h = lift_site(s)
-    assert (h.a, h.b, h.c) == (0.0, 0.0, 1.0)
-    assert lifted_violates(lift_point(0.0, 0.0), h)       # center inside
-    assert not lifted_violates(lift_point(2.0, 0.0), h)   # outside
+    disk = S((0.0, 0.0, 1.0))
+    assert lifted_planes(disk).tolist() == [[0.0, 0.0, 1.0]]
+    # center inside, (2, 0) outside
+    pts = S((0.0, 0.0, 1.0), (2.0, 0.0, 1.0))
+    assert lifted_violations(lifted_points(pts, np.arange(2)),
+                             lifted_planes(disk)).tolist() == [[True], [False]]
 
 
 def test_lift_equivalence_with_point_in_disk():
     rng = random.Random(5)
-    for _ in range(100_000):
-        s = Site(0, rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(0.05, 0.9))
+    disks, points, inside = [], [], []
+    for i in range(100_000):
+        s = Site(i, rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(0.05, 0.9))
         px, py = rng.uniform(-0.5, 1.5), rng.uniform(-0.5, 1.5)
-        inside = (px - s.x) ** 2 + (py - s.y) ** 2 < s.r * s.r
-        assert lifted_violates(lift_point(px, py), lift_site(s)) == inside
+        disks.append(s)
+        points.append(Site(i, px, py, 1.0))
+        inside.append((px - s.x) ** 2 + (py - s.y) ** 2 < s.r * s.r)
+    assert _lifted_inside(SiteSet(disks), SiteSet(points)).tolist() == inside
 
 
 def test_normalization_unit_square_and_edge_preservation():
@@ -176,6 +193,14 @@ def test_site_validation():
         SiteSet([Site(0, 0, 0, 1.0), Site(1, 0, 0, 2.0)])  # coincident centers
     with pytest.raises(InstanceError):
         SiteSet([Site(1, 0, 0, 1.0)])  # ids must start at 0
+
+
+def test_generate_refuses_invalid_radii():
+    # a power law this close to gamma = 1 overflows to infinite radii,
+    # which the site check that generate shares refuses by id
+    spec = GeneratorSpec(n=50, radius_law="power", gamma=1.0 + 1e-7, seed=3)
+    with np.errstate(over="ignore"), pytest.raises(InstanceError, match="radius"):
+        generate(spec)
 
 
 def test_instance_roundtrip(tmp_path):
