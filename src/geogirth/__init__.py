@@ -2,7 +2,7 @@
 transmission graphs, in near-linear time, with brute-force oracles."""
 
 from .chan import ChanInconsistencyError, OptProblem, optimize
-from .disk_triangle import (ShiftedGrids, decide_perimeter, find_triangle_disk,
+from .disk_triangle import (decide_perimeter, find_triangle_disk,
                             planar_triangle, shortest_triangle_disk)
 from .generator import GeneratorSpec, generate
 from .girth import (ShortestPathTree, dijkstra_tree, girth_unweighted,
@@ -22,8 +22,7 @@ from .sites import (GeogirthError, InstanceError, InvariantViolation, Site,
                     read_instance, triangle_perimeter, tx_edge, write_instance)
 from .sweep import (SweepOutcome, build_plane_or_witness,
                     find_segment_crossing, triangle_from_crossing)
-from .tx import (TxDecisionContext, decide_tx_perimeter, find_directed_triangle,
-                 shortest_triangle_tx)
+from .tx import decide_tx_perimeter, find_directed_triangle, shortest_triangle_tx
 from .zorder import CompressedQuadtree, GridCell, build_compressed_quadtree
 
 __version__ = "0.1.0"

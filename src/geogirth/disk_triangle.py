@@ -2,9 +2,11 @@
 
 Existence goes through the plane/witness pipeline: a non-plane disk graph
 always contains a triangle, and a plane one is searched in linear time by
-degeneracy peeling.  The perimeter decision works on four shifted grids;
-``shortest_triangle_disk`` hands it, the existence search and the brute-force
-base case to the shared optimization driver in ``chan``.
+degeneracy peeling.  The perimeter decision works on four shifted grids
+and tests its candidate triples in batches with ``sites.short_triangle``
+over ``disk_edges``; ``shortest_triangle_disk`` hands it, the existence
+search and the brute-force base case to the shared optimization driver in
+``chan``.
 """
 
 from __future__ import annotations
@@ -16,10 +18,11 @@ from typing import Optional
 import numpy as np
 
 from .chan import shortest_triangle
-from .grids import ShiftedGrids, ShiftedGridIndex, close_pairs, ranges_concat
+from .grids import ShiftedGridIndex, close_pairs, ranges_concat
 from .graphs import (Triangle, UndirectedGraph, brute_shortest_triangle,
                      brute_triangle, build_disk_graph_brute)
-from .sites import InvariantViolation, SiteSet, disk_edges, triangle_perimeter
+from .sites import (InvariantViolation, SiteSet, disk_edges, short_triangle,
+                    triangle_perimeter)
 from .sweep import build_plane_or_witness
 
 SQRT2 = math.sqrt(2.0)
@@ -151,7 +154,7 @@ def decide_perimeter(S: SiteSet, W: float) -> bool:
         pa, pb = pa[keep], pb[keep]
         if len(pa):
             p, u = G.blocks(np.zeros(len(pa), dtype=np.int64), G.site_keys[0][pa], 3)
-            if _short_triangle(S, W, pa[p], pb[p], u):
+            if short_triangle(S, W, pa[p], pb[p], u, disk_edges):
                 return True
 
     # (c) triangles with exactly one large vertex: the large sites of the
@@ -168,29 +171,7 @@ def decide_perimeter(S: SiteSet, W: float) -> bool:
     anchor_of = np.cumsum(cells)[er] - 1
     p, j = ranges_concat(np.searchsorted(owner, anchor_of),
                          np.searchsorted(owner, anchor_of + 1))
-    return _short_triangle(S, W, ea[p], eb[p], u[j])
-
-
-def _short_triangle(S: SiteSet, W: float, s: np.ndarray, t: np.ndarray,
-                    u: np.ndarray) -> bool:
-    """Is some (s_i, t_i, u_i), with s_i t_i a disk-graph edge, a triangle
-    of perimeter at most W?
-
-    The edge tests are exact (``disk_edges``); the ``np.hypot`` prefilter,
-    padded by one part in 10^9, keeps every triple whose canonical
-    perimeter can be <= W, and only its survivors are evaluated by
-    ``triangle_perimeter``."""
-    keep = (u != s) & (u != t)
-    keep[keep] = disk_edges(S, s[keep], u[keep]) & disk_edges(S, t[keep], u[keep])
-    s, t, u = s[keep], t[keep], u[keep]
-    xs, ys = S.xs, S.ys
-    per = (np.hypot(xs[s] - xs[t], ys[s] - ys[t])
-           + np.hypot(xs[s] - xs[u], ys[s] - ys[u])
-           + np.hypot(xs[t] - xs[u], ys[t] - ys[u]))
-    for i in np.flatnonzero(per <= W * (1.0 + 1e-9)).tolist():
-        if triangle_perimeter(S[int(s[i])], S[int(t[i])], S[int(u[i])]) <= W:
-            return True
-    return False
+    return short_triangle(S, W, ea[p], eb[p], u[j], disk_edges)
 
 
 # ---------------------------------------------------------------------------

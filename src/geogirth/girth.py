@@ -226,7 +226,7 @@ def weighted_girth_disk(S: SiteSet, rng_seed: int = 0) -> Optional[Cycle]:
 
     # cycles through a large site: shorter than W means diameter < W/2,
     # so they live in the 7x7 block around the site's grid cell
-    G = GridIndex(S, ell, 0.0, 0.0)
+    G = GridIndex(S, ell)
     lidx = np.flatnonzero(large_mask)
     if len(lidx):
         blk_sizes_run = G.block_reduce(G.run_sizes, 3)

@@ -77,9 +77,6 @@ class UndirectedGraph:
     def edge_count(self) -> int:
         return sum(len(a) for a in self.adj) // 2
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return any(x == v for x, _ in self.adj[u])
-
 
 class DirectedGraph:
     __slots__ = ("n", "out")
@@ -100,9 +97,6 @@ class DirectedGraph:
 
     def arc_count(self) -> int:
         return sum(len(a) for a in self.out)
-
-    def has_arc(self, u: int, v: int) -> bool:
-        return any(x == v for x, _ in self.out[u])
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,6 @@ join of ``close_pairs``, take one pair of ``searchsorted`` calls.
 from __future__ import annotations
 
 import functools
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,9 +25,12 @@ _KEY_BASE = 1 << 32
 _KEY_GUARD = 1 << 30
 _WIDE_KEY_BASE = 1 << 1026
 _GRID_ROWS = np.arange(4)[:, None]
+# origins of the four shifted grids of side ell, in units of ell/2: every
+# square of side <= ell/2 fits inside one cell of one of them
+_GRID_SHIFTS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 
 
-def _cell_keys(xs: np.ndarray, ys: np.ndarray, ell: float, ox, oy):
+def _cell_keys(xs: np.ndarray, ys: np.ndarray, ell: float, ox=0.0, oy=0.0):
     """Cell indices ix, iy of every site and their packed keys; offsets
     broadcast against the coordinates.  int64 arrays, or object arrays of
     Python ints when some index reaches 2^30."""
@@ -51,24 +52,6 @@ def _key_base(a: np.ndarray) -> int:
 # shifted grids
 
 
-@dataclass(frozen=True)
-class ShiftedGrids:
-    """Four axis-aligned grids of cell side ell, shifted by ell/2, so that
-    every square of side <= ell/2 fits inside one cell of one grid."""
-
-    ell: float
-
-    @property
-    def offsets(self):
-        h = self.ell / 2.0
-        return ((0.0, 0.0), (h, 0.0), (0.0, h), (h, h))
-
-    def cell_of(self, x: float, y: float, grid: int) -> tuple[int, int]:
-        ox, oy = self.offsets[grid]
-        return (int(math.floor((x - ox) / self.ell)),
-                int(math.floor((y - oy) / self.ell)))
-
-
 class ShiftedGridIndex:
     """Sites bucketed into the four shifted grids of side ell at once.
 
@@ -80,7 +63,7 @@ class ShiftedGridIndex:
     run_size[r]]`` in grid ``run_grid[r]``."""
 
     def __init__(self, xs: np.ndarray, ys: np.ndarray, ell: float):
-        off = np.array(ShiftedGrids(ell).offsets)
+        off = _GRID_SHIFTS * (ell / 2.0)
         self.site_keys = _cell_keys(xs, ys, ell, off[:, :1], off[:, 1:])[2]
         self.order = np.argsort(self.site_keys, axis=1, kind="stable")
         self.keys = self.site_keys[_GRID_ROWS, self.order]
@@ -132,10 +115,8 @@ class GridIndex:
     Cell keys are packed as ix * 2^32 + iy, or as Python ints when the
     indices would overflow the packing range, e.g. for very small W."""
 
-    def __init__(self, S: SiteSet, ell: float, ox: float, oy: float):
-        self.S = S
-        self.ell = ell
-        self.ix, self.iy, key = _cell_keys(S.xs, S.ys, ell, ox, oy)
+    def __init__(self, S: SiteSet, ell: float):
+        self.ix, self.iy, key = _cell_keys(S.xs, S.ys, ell)
         self.order = np.argsort(key, kind="stable")
         skey = key[self.order]
         if len(skey):
@@ -154,22 +135,14 @@ class GridIndex:
                 np.arange(len(self.run_keys), dtype=np.int64), self.run_sizes)
 
     def block_reduce(self, per_run: np.ndarray, radius_cells: int) -> np.ndarray:
-        """Per run, the sum of `per_run` over the (2k+1)^2 block around it.
-
-        One sorted join per offset; no per-site key matrices."""
-        R = len(self.run_keys)
-        out = np.zeros(R, dtype=per_run.dtype)
-        if R == 0:
-            return out
-        offs = range(-radius_cells, radius_cells + 1)
-        for dx in offs:
-            base = self.run_keys + dx * _key_base(self.run_keys)
-            for dy in offs:
-                pos = np.searchsorted(self.run_keys, base + dy)
-                posc = np.minimum(pos, R - 1)
-                hit = self.run_keys[posc] == base + dy
-                out += np.where(hit, per_run[posc], 0)
-        return out
+        """Per run, the sum of `per_run` over the (2k+1)^2 block around it:
+        2k+1 ranges of consecutive run keys each, summed by a prefix sum."""
+        k = radius_cells
+        keys = self.run_keys
+        lo = keys[:, None] + (_row_offsets(k, _key_base(keys)) - k)[None, :]
+        csum = np.concatenate(([0], np.cumsum(per_run)))
+        return (csum[np.searchsorted(keys, lo + 2 * k, side="right")]
+                - csum[np.searchsorted(keys, lo, side="left")]).sum(axis=1)
 
     def run_reduce(self, values: np.ndarray) -> np.ndarray:
         """Per-cell sums of a per-site array (in bucket order)."""
@@ -193,16 +166,10 @@ class GridIndex:
         return base[:, None] + _block_offsets(radius_cells, kb)[None, :]
 
     def sites_of_runs(self, run_idx) -> np.ndarray:
-        """Sites of the given runs, run by run in the given order; -1 skipped.
-
-        Empty cells are dropped in numpy first, so the Python work is one
-        slice per occupied cell: a few for one disk block, dozens for all
-        tx anchor blocks at once."""
+        """Sites of the given runs, run by run in the given order; -1 skipped."""
         r = np.asarray(run_idx, dtype=np.int64).ravel()
         r = r[r >= 0]
-        parts = [self.order[a:b] for a, b in
-                 zip(self.run_starts[r].tolist(), self.run_ends[r].tolist())]
-        return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+        return self.order[ranges_concat(self.run_starts[r], self.run_ends[r])[1]]
 
     def block_sites(self, site: int, radius_cells: int) -> np.ndarray:
         nk = self.neighbor_keys(np.array([site]), radius_cells)
@@ -252,7 +219,7 @@ def close_pairs(xs: np.ndarray, ys: np.ndarray, ids: np.ndarray,
     if m < 2:
         return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
     px, py = xs[ids], ys[ids]
-    key = _cell_keys(px, py, radius, 0.0, 0.0)[2]
+    key = _cell_keys(px, py, radius)[2]
     order = np.argsort(key, kind="stable")
     ks = key[order]
     owner, pos = _block_ranges(ks, ks, 1)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .grids import ranges_concat
 from .radius_tree import RadiusTree
-from .sites import InvariantViolation, SiteSet
+from .sites import InvariantViolation, SiteSet, tx_edges
 from .zorder import (CompressedQuadtree, ZKeys,
                      build_compressed_quadtree_from_codes, choose_depth,
                      neighborhood_cells)
@@ -198,9 +198,7 @@ def solve_R1(S: SiteSet, query_ids: Optional[Sequence[int]] = None,
         pt = np.concatenate(pairs_t)
     else:
         ps = pt = np.empty(0, dtype=np.int64)
-    dx = norm.xs[pt] - norm.xs[ps]
-    dy = norm.ys[pt] - norm.ys[ps]
-    inside = dx * dx + dy * dy <= norm.rs[ps] * norm.rs[ps]
+    inside = tx_edges(norm, ps, pt)
     ps, pt = ps[inside], pt[inside]
     # disk crowding counts the query site itself (it qualifies for its own
     # enclosing square); the self pair is dropped from the edge lists only
@@ -357,12 +355,8 @@ def solve_R2(S: SiteSet, queries: Sequence[QueryTripleR2]) -> Optional[tuple[int
             continue
         qi = int(qh.query_idx[int(np.flatnonzero(viol)[0])])
         q = queries[qi]
-        sx, sy = norm.xs[q.s], norm.ys[q.s]
         ids = B.order[lo:hi]
-        dx = norm.xs[ids] - sx
-        dy = norm.ys[ids] - sy
-        ok = dx * dx + dy * dy <= norm.rs[ids] * norm.rs[ids]
-        ok &= ids != q.s
+        ok = tx_edges(norm, ids, q.s) & (ids != q.s)
         hits = np.flatnonzero(ok)
         if not len(hits):
             raise InvariantViolation("lifted violation without a witness disk")

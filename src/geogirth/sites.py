@@ -6,7 +6,9 @@ Everything downstream works on a ``SiteSet``: n sites (center plus
 positive radius) held as three float64 arrays, where site i, with id i, is
 index i of each.  All decisive predicates are sign tests on polynomials of
 the inputs evaluated in float64; the test suite cross-checks them against
-exact rational arithmetic.
+exact rational arithmetic.  ``short_triangle`` is the one batched
+candidate-triangle test of both perimeter decisions, over disk edges or
+transmission arcs.
 """
 
 from __future__ import annotations
@@ -44,9 +46,6 @@ class Normalization:
     offset_x: float
     offset_y: float
     scale: float
-
-    def to_original(self, length: float) -> float:
-        return length * self.scale
 
 
 def coincident_centers(xs: np.ndarray, ys: np.ndarray):
@@ -202,11 +201,42 @@ def tx_edge(a: Site, b: Site) -> bool:
     return dx * dx + dy * dy <= a.r * a.r
 
 
+def tx_edges(S: "SiteSet", a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``tx_edge`` elementwise over id arrays (arcs a -> b): the same
+    float64 operations in the same order, hence the same answers."""
+    dx = S.xs[a] - S.xs[b]
+    dy = S.ys[a] - S.ys[b]
+    ra = S.rs[a]
+    return dx * dx + dy * dy <= ra * ra
+
+
 def triangle_perimeter(s: Site, t: Site, u: Site) -> float:
     """Perimeter evaluated in a fixed (sorted-id) order so that every code
     path produces bit-identical sums for the same triangle."""
     a, b, c = sorted((s, t, u), key=lambda q: q.id)
     return dist(a, b) + dist(a, c) + dist(b, c)
+
+
+def short_triangle(S: "SiteSet", W: float, s: np.ndarray, t: np.ndarray,
+                   u: np.ndarray, edges) -> bool:
+    """Is some (s_i, t_i, u_i), whose s_i t_i is an edge of the graph that
+    ``edges`` tests (``disk_edges``, or ``tx_edges`` with the arc
+    s_i -> t_i), a triangle s_i -> t_i -> u_i -> s_i of perimeter at most W?
+
+    The edge tests are exact; the ``np.hypot`` prefilter, padded by one
+    part in 10^9, keeps every triple whose canonical perimeter can be <= W,
+    and only its survivors are evaluated by ``triangle_perimeter``."""
+    keep = (u != s) & (u != t)
+    keep[keep] = edges(S, t[keep], u[keep]) & edges(S, u[keep], s[keep])
+    s, t, u = s[keep], t[keep], u[keep]
+    xs, ys = S.xs, S.ys
+    per = (np.hypot(xs[s] - xs[t], ys[s] - ys[t])
+           + np.hypot(xs[s] - xs[u], ys[s] - ys[u])
+           + np.hypot(xs[t] - xs[u], ys[t] - ys[u]))
+    for i in np.flatnonzero(per <= W * (1.0 + 1e-9)).tolist():
+        if triangle_perimeter(S[int(s[i])], S[int(t[i])], S[int(u[i])]) <= W:
+            return True
+    return False
 
 
 # exact rational versions, used by the test suite as sign oracles.  Every

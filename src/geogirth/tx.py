@@ -5,7 +5,9 @@ range reporter: a crowded square immediately yields a triangle among 73
 nearby fat disks; otherwise edges st with r_t >= r_s are chased one hop
 through the reported lists, and the leftover configurations (r_u below
 r_t/2) become batched union-of-disks membership queries.  The weighted
-decision localizes everything to grid cells scaled by the perimeter bound;
+decision localizes everything to grid cells scaled by the perimeter bound
+and tests its last candidates, the triangles through a large site's
+9x9 block, in one batch with ``sites.short_triangle`` over ``tx_edges``;
 ``shortest_triangle_tx`` hands it, the detection and the brute-force base
 case to the shared optimization driver in ``chan``.
 """
@@ -13,7 +15,6 @@ case to the shared optimization driver in ``chan``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -24,27 +25,10 @@ from .graphs import (Triangle, brute_directed_triangle,
                      triangle_is_valid_tx)
 from .grids import GridIndex, ranges_concat
 from .range_search import ALPHA, QueryTripleR2, solve_R1, solve_R2
-from .sites import InvariantViolation, SiteSet, triangle_perimeter, tx_edge
+from .sites import (InvariantViolation, SiteSet, short_triangle,
+                    triangle_perimeter, tx_edges)
 
 SQRT27 = math.sqrt(27.0)
-
-
-@dataclass(frozen=True)
-class TxDecisionContext:
-    """Scales for one perimeter decision: threshold ell = W/sqrt(27) between
-    small and large sites, grid side ell/sqrt(2)."""
-
-    W: float
-
-    @property
-    def ell(self) -> float:
-        # shrunk by one part in 10^12 so that presence-based steps certify
-        # canonical perimeters strictly below W despite float rounding
-        return self.W / SQRT27 * (1.0 - 1e-12)
-
-    @property
-    def grid_side(self) -> float:
-        return self.ell / math.sqrt(2.0)
 
 
 def _triangle(S: SiteSet, i: int, j: int, k: int) -> Triangle:
@@ -96,10 +80,7 @@ def find_directed_triangle(S: SiteSet) -> Optional[Triangle]:
         s_exp = np.repeat(s_blk, reps)
         t_exp = np.repeat(t_blk, reps)
         u_exp = flat[ranges_concat(offs[t_blk], offs[t_blk + 1])[1]]
-        ok = (u_exp != s_exp) & (u_exp != t_exp)
-        dx = S.xs[s_exp] - S.xs[u_exp]
-        dy = S.ys[s_exp] - S.ys[u_exp]
-        ok &= dx * dx + dy * dy <= S.rs[u_exp] * S.rs[u_exp]
+        ok = (u_exp != s_exp) & (u_exp != t_exp) & tx_edges(S, u_exp, s_exp)
         hit = np.flatnonzero(ok)
         if len(hit):
             h = int(hit[0])
@@ -128,8 +109,11 @@ def decide_tx_perimeter(S: SiteSet, W: float) -> bool:
     n = len(S)
     if n < 3:
         return False
-    ctx = TxDecisionContext(W)
-    ell = ctx.ell
+    # sites of radius above ell are large: a triangle inside a disk of
+    # radius ell has perimeter <= sqrt(27) * ell = W.  Shrunk by one part in
+    # 10^12 so that presence-based steps certify canonical perimeters
+    # strictly below W despite float rounding
+    ell = W / SQRT27 * (1.0 - 1e-12)
     large_mask = S.rs > ell
     small_ids = np.flatnonzero(~large_mask)
 
@@ -157,9 +141,10 @@ def decide_tx_perimeter(S: SiteSet, W: float) -> bool:
         np.cumsum(indeg, out=in_offs[1:])
         in_src = src[to_large][np.argsort(dst, kind="stable")]
 
-    # (3) per grid cell: any in-cell triangle has perimeter <= W; three
-    # large sites in one cell always form one
-    G = GridIndex(S, ctx.grid_side, 0.0, 0.0)
+    # (3) per grid cell (side ell/sqrt(2), so diameter ell): any in-cell
+    # triangle has perimeter <= W; three large sites in one cell always
+    # form one
+    G = GridIndex(S, ell / math.sqrt(2.0))
     large_per_run = G.run_reduce(large_mask.astype(np.int64))
     if len(large_per_run) and int(large_per_run.max(initial=0)) >= 3:
         return True
@@ -172,41 +157,33 @@ def decide_tx_perimeter(S: SiteSet, W: float) -> bool:
     # two vertices lie within W/2 of t, i.e. inside the 9x9 block of t's
     # cell (W/2 is 3.68 grid sides); t's cycle-predecessor x is either
     # large (O(1) per block) or one of t's <= 6 small in-neighbors.  The
-    # blocks of all anchor cells come from one batched lookup, cut at the
+    # blocks of all large sites come from one batched lookup, cut at the
     # cumulative block sizes.
-    if not large_mask.any():
+    ts = np.flatnonzero(large_mask)
+    if not len(ts):
         return False
-    runs = np.flatnonzero(large_per_run > 0)
-    blk_runs = G.lookup_many(G.neighbor_keys(G.order[G.run_starts[runs]], 4).ravel())
+    blk_runs = G.lookup_many(G.neighbor_keys(ts, 4).ravel())
     blocks = G.sites_of_runs(blk_runs)
-    sizes = np.where(blk_runs >= 0, G.run_sizes[blk_runs], 0).reshape(len(runs), -1)
-    ends = np.cumsum(sizes.sum(axis=1)).tolist()
-    sites = S.sites
-    for r, b0, b1 in zip(runs.tolist(), [0] + ends[:-1], ends):
-        run_ids = G.order[G.run_starts[r]:G.run_ends[r]]
-        block = blocks[b0:b1]
-        block_list = block.tolist()
-        block_set = set(block_list)
-        t_in_cell = run_ids[large_mask[run_ids]]
-        blk_large = block[large_mask[block]].tolist()
-        for t in t_in_cell.tolist():
-            xs = [u for u in blk_large if u != t]
-            xs += [u for u in in_src[in_offs[t]:in_offs[t + 1]].tolist() if u in block_set]
-            st = sites[t]
-            for x in xs:
-                sx = sites[x]
-                if not tx_edge(sx, st):      # need the in-arc x -> t
-                    continue
-                for y in block_list:
-                    if y == t or y == x:
-                        continue
-                    sy = sites[y]
-                    # cycle t -> y -> x -> t
-                    if not (tx_edge(st, sy) and tx_edge(sy, sx)):
-                        continue
-                    if triangle_perimeter(st, sx, sy) <= W:
-                        return True
-    return False
+    sizes = np.where(blk_runs >= 0, G.run_sizes[blk_runs], 0)
+    sizes = sizes.reshape(len(ts), -1).sum(axis=1)
+    blk_hi = np.cumsum(sizes)
+    blk_lo = blk_hi - sizes
+    # pairs (x, ts[k]) with the arc x -> t: x large in t's block, or a small
+    # in-neighbor of t whose cell is in the block
+    k1, j = ranges_concat(blk_lo, blk_hi)
+    x1 = blocks[j]
+    keep1 = large_mask[x1] & (x1 != ts[k1])
+    k2, j = ranges_concat(in_offs[ts], in_offs[ts + 1])
+    x2 = in_src[j]
+    keep2 = ((np.abs(G.ix[x2] - G.ix[ts[k2]]) <= 4)
+             & (np.abs(G.iy[x2] - G.iy[ts[k2]]) <= 4))
+    x = np.concatenate((x1[keep1], x2[keep2]))
+    k = np.concatenate((k1[keep1], k2[keep2]))
+    arc = tx_edges(S, x, ts[k])
+    x, k = x[arc], k[arc]
+    # triples: the cycle t -> y -> x -> t for every y of t's block
+    p, j = ranges_concat(blk_lo[k], blk_hi[k])
+    return short_triangle(S, W, x[p], ts[k[p]], blocks[j], tx_edges)
 
 
 # ---------------------------------------------------------------------------

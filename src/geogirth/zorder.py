@@ -221,18 +221,11 @@ class CompressedQuadtree:
     def __len__(self) -> int:
         return len(self.levels)
 
-    @property
-    def depth(self) -> int:
-        return self.zkeys.depth
-
     def cell(self, i: int) -> GridCell:
         return self.zkeys.decode(int(self.levels[i]), self.k0[i])
 
     def cells(self) -> list[GridCell]:
         return [self.cell(i) for i in range(len(self))]
-
-    def sites_in_node(self, i: int) -> np.ndarray:
-        return self.zorder_sites[int(self.site_lo[i]):int(self.site_hi[i])]
 
     def site_ranges(self, k0, k3, ckey):
         """Per query cell (keys as from ``ZKeys.cell_keys``), the range

@@ -22,6 +22,7 @@ from geogirth.graphs import (brute_directed_triangle, brute_girth_unweighted,
                              brute_shortest_triangle, brute_triangle,
                              build_disk_graph_brute, build_tx_graph_brute,
                              triangle_is_valid_disk, triangle_is_valid_tx)
+from geogirth.grids import ShiftedGridIndex
 from geogirth.range_search import (ALPHA, QueryTripleR2, lifted_planes,
                                    lifted_points, lifted_violations, solve_R1,
                                    solve_R2)
@@ -272,9 +273,9 @@ def test_criterion_9_lemma_properties():
                        for s in (x, y, z)) for px, py in cands)
         checked += 1
 
-    # grid cover of short-edge triangles
-    from geogirth.disk_triangle import ShiftedGrids
-    grids = ShiftedGrids(1.0)
+    # grid cover of short-edge triangles: some of the four shifted grids of
+    # the disk decision puts all three vertices in one cell
+    pts = []
     for _ in range(100_000):
         ax, ay = rng.uniform(-2, 2), rng.uniform(-2, 2)
         bx, by = ax + rng.uniform(-0.5, 0.5), ay + rng.uniform(-0.5, 0.5)
@@ -282,9 +283,10 @@ def test_criterion_9_lemma_properties():
         if max(math.dist((ax, ay), (bx, by)), math.dist((ax, ay), (cx, cy)),
                math.dist((bx, by), (cx, cy))) > 0.5:
             continue
-        assert any(len({grids.cell_of(px, py, gi)
-                        for px, py in ((ax, ay), (bx, by), (cx, cy))}) == 1
-                   for gi in range(4))
+        pts += [(ax, ay), (bx, by), (cx, cy)]
+    xs, ys = np.array(pts).T
+    keys = ShiftedGridIndex(xs, ys, 1.0).site_keys.reshape(4, -1, 3)
+    assert (keys == keys[:, :, :1]).all(axis=2).any(axis=0).all()
 
     # optimal cycle through s = two tree branches plus one edge (n <= 12)
     checked = 0

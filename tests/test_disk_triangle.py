@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 import geogirth.disk_triangle as disk_triangle
-from geogirth.disk_triangle import (ShiftedGrids, decide_perimeter,
-                                    find_triangle_disk, planar_triangle,
-                                    shortest_triangle_disk)
+from geogirth.disk_triangle import (decide_perimeter, find_triangle_disk,
+                                    planar_triangle, shortest_triangle_disk)
 from geogirth.generator import GeneratorSpec, generate
 from geogirth.girth import girth_unweighted, weighted_girth_disk
 from geogirth.graphs import (brute_girth_unweighted, brute_min_weight_cycle,
@@ -85,10 +84,10 @@ def test_planar_triangle_matches_neighbor_intersection_oracle(make_sites):
 
 def test_grid_cover_property():
     # any triangle with edges <= ell/2 fits inside a cell of one of the
-    # four shifted grids
+    # four shifted grids the decision buckets the sites into
     rng = random.Random(33)
     ell = 1.0
-    grids = ShiftedGrids(ell)
+    pts = []
     for _ in range(100_000):
         ax, ay = rng.uniform(-3, 3), rng.uniform(-3, 3)
         # two more vertices within ell/2 of a, with all pairwise <= ell/2
@@ -99,13 +98,11 @@ def test_grid_cover_property():
                math.dist((ax, ay), (cx, cy)) <= 0.5 and \
                math.dist((bx, by), (cx, cy)) <= 0.5:
                 break
-        covered = False
-        for gi in range(4):
-            cells = {grids.cell_of(x, y, gi) for x, y in ((ax, ay), (bx, by), (cx, cy))}
-            if len(cells) == 1:
-                covered = True
-                break
-        assert covered
+        pts += [(ax, ay), (bx, by), (cx, cy)]
+    xs, ys = np.array(pts).T
+    keys = ShiftedGridIndex(xs, ys, ell).site_keys.reshape(4, -1, 3)
+    # per triangle, some grid gives its three vertices one cell key
+    assert (keys == keys[:, :, :1]).all(axis=2).any(axis=0).all()
 
 
 def test_decide_perimeter_boundaries():
@@ -167,16 +164,16 @@ def _check_against_brute(ss, extra_ws=()):
 def test_decide_perimeter_at_optimization_probes(monkeypatch):
     # which batched step, (b) two large vertices or (c) one, answers true
     decided = {"b": 0, "c": 0}
-    short_triangle = disk_triangle._short_triangle
+    short_triangle = disk_triangle.short_triangle
 
-    def counting(S, W, s, t, u):
-        found = short_triangle(S, W, s, t, u)
+    def counting(S, W, s, t, u, edges):
+        found = short_triangle(S, W, s, t, u, edges)
         if found:
             ell = W / (3.0 * SQRT2) * (1.0 - 1e-12)
             decided["b" if S.rs[s[0]] > ell / 4.0 else "c"] += 1
         return found
 
-    monkeypatch.setattr(disk_triangle, "_short_triangle", counting)
+    monkeypatch.setattr(disk_triangle, "short_triangle", counting)
     rng = random.Random(39)
     families = ({}, {"centers": "clustered"}, {"radius_law": "power"})
     for trial in range(90):

@@ -1,12 +1,21 @@
 """Grid bucketing and grid joins against brute force."""
 
 import itertools
+import math
 import random
 
 import numpy as np
 
-from geogirth.grids import GridIndex, ShiftedGridIndex, ShiftedGrids, close_pairs
+from geogirth.grids import GridIndex, ShiftedGridIndex, close_pairs
 from geogirth.sites import Site, SiteSet
+
+
+def cell_of(x, y, ell, grid=0):
+    """Cell of (x, y) in shifted grid `grid` of side ell, by the floor
+    formula; grids 1, 2, 3 are shifted by ell/2 in x, y and both."""
+    h = ell / 2.0
+    ox, oy = ((0.0, 0.0), (h, 0.0), (0.0, h), (h, h))[grid]
+    return math.floor((x - ox) / ell), math.floor((y - oy) / ell)
 
 
 def brute_close_pairs(xs, ys, ids, radius):
@@ -70,8 +79,7 @@ def test_shifted_grid_index_matches_cell_of():
         n = len(xs)
         G = ShiftedGridIndex(xs, ys, ell)
         assert (G.keys.dtype == object) == wide
-        grids = ShiftedGrids(ell)
-        cells = [[grids.cell_of(x, y, g) for x, y in zip(xs.tolist(), ys.tolist())]
+        cells = [[cell_of(x, y, ell, g) for x, y in zip(xs.tolist(), ys.tolist())]
                  for g in range(4)]
         # runs: the occupied cells of each grid, ids ascending
         order = G.order.ravel()
@@ -96,10 +104,38 @@ def test_grid_index_keeps_far_cells_apart():
     ell = 1e-6
     xs, ys = far_cells(ell)
     ss = SiteSet([Site(i, x, y, 1.0) for i, (x, y) in enumerate(zip(xs, ys))])
-    G = GridIndex(ss, ell, 0.0, 0.0)
-    cells = [ShiftedGrids(ell).cell_of(x, y, 0) for x, y in zip(xs.tolist(), ys.tolist())]
+    G = GridIndex(ss, ell)
+    cells = [cell_of(x, y, ell) for x, y in zip(xs.tolist(), ys.tolist())]
     assert len(G.run_keys) == len(set(cells))
     for i in range(len(xs)):
         want = [j for j in range(len(xs)) if abs(cells[j][0] - cells[i][0]) <= 1
                 and abs(cells[j][1] - cells[i][1]) <= 1]
         assert sorted(G.block_sites(i, 1).tolist()) == want
+
+
+def test_block_reduce_matches_brute_count():
+    rng = random.Random(52)
+    cases = list(shifted_grid_cases())
+    for _ in range(300):
+        n = rng.randint(1, 60)
+        # cell indices pass 2^30 at offset 1e8: Python-int keys
+        offset = rng.choice([0.0, 1e8, -1e8])
+        ell = rng.uniform(0.002, 0.05) if offset else rng.uniform(0.02, 0.5)
+        span = 0.1 if offset else rng.uniform(0.1, 2.0)
+        xs = np.array([offset + rng.uniform(0, span) for _ in range(n)])
+        ys = np.array([rng.uniform(0, span) for _ in range(n)])
+        cases.append((xs, ys, ell, None))
+    wide = 0
+    for xs, ys, ell, _ in cases:
+        G = GridIndex(SiteSet.from_arrays(xs, ys, np.ones(len(xs))), ell)
+        wide += G.run_keys.dtype == object
+        cells = [cell_of(float(xs[i]), float(ys[i]), ell)
+                 for i in G.order[G.run_starts].tolist()]
+        weights = np.array([rng.randint(0, 9) for _ in cells], dtype=np.int64)
+        for per_run in (G.run_sizes, weights):
+            for k in (1, 3, 4):
+                want = [sum(int(w) for (qx, qy), w in zip(cells, per_run)
+                            if abs(qx - cx) <= k and abs(qy - cy) <= k)
+                        for cx, cy in cells]
+                assert G.block_reduce(per_run, k).tolist() == want
+    assert wide >= 150

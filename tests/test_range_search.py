@@ -357,7 +357,7 @@ def test_lifting_soundness_per_node(make_sites):
 def test_sites_of_runs_keeps_run_order_and_skips_missing():
     ss = S((0.1, 0.1, 0.1), (2.1, 0.2, 0.1), (0.3, 0.4, 0.1), (2.5, 0.5, 0.1),
            (5.5, 5.5, 0.1))
-    G = GridIndex(ss, 1.0, 0.0, 0.0)
+    G = GridIndex(ss, 1.0)
     runs = {tuple(sorted(G.order[G.run_starts[r]:G.run_ends[r]].tolist())): r
             for r in range(len(G.run_keys))}
     assert sorted(runs) == [(0, 2), (1, 3), (4,)]
